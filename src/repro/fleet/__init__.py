@@ -22,8 +22,8 @@ from .report import (ArmRollup, FamilyRollup, FleetReport, LatencyRollup,
 from .service import (CHECKPOINT_VERSION, DEFAULT_FLEET_FACTORY,
                       DEFAULT_QUEUE_LIMIT, AdmissionPlan,
                       FleetRunResult, FleetService, execute_fleet_batch,
-                      execute_fleet_chunk, initialize_fleet_worker,
-                      plan_rounds)
+                      execute_fleet_chunk, group_round,
+                      initialize_fleet_worker, plan_rounds)
 from .shard import (BatchJob, BatchResult, FleetChunk, FleetCheckpointError,
                     FleetShard, ShardOutcome, build_shards, route_round,
                     shard_checkpoint_path, shard_of)
@@ -41,7 +41,7 @@ __all__ = [
     "build_arm_rollups", "build_fleet_report",
     "build_sample_pool", "build_shards", "execute_fleet_batch",
     "execute_fleet_chunk", "failed_event_record", "finalize_report",
-    "generate_events", "initialize_fleet_worker", "merge_shard_rollups",
-    "plan_rounds", "render_fleet_report", "route_round",
-    "shard_checkpoint_path", "shard_of",
+    "generate_events", "group_round", "initialize_fleet_worker",
+    "merge_shard_rollups", "plan_rounds", "render_fleet_report",
+    "route_round", "shard_checkpoint_path", "shard_of",
 ]

@@ -46,19 +46,21 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
-import os
 import pickle
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.database import DeceptionDatabase, FrozenDeceptionDatabase
 from ..core.profiles import ScarecrowConfig
-from ..malware.benign import build_cnet_corpus
+from ..malware.benign import BenignProgram, build_cnet_corpus
+from ..malware.sample import EvasiveSample
 from ..parallel import shared
 from ..parallel.envelope import ChunkHeader, decode_chunk, encode_chunk
-from ..parallel.factories import FactorySpec, resolve_machine_factory
+from ..parallel.factories import FactorySpec
 from ..parallel.sweep import auto_chunksize, make_executor
-from ..parallel.template import DeltaMode, MachineTemplate
+from ..parallel.template import DeltaMode
+from ..parallel.worker import (WorkerFixtures, acquire_fixtures,
+                               install_fixtures, installed_fixtures)
 from ..telemetry.metrics import TELEMETRY
 from ..telemetry.snapshot import MetricsSnapshot
 from .endpoint import EventRecord, ProtectedEndpoint, failed_event_record
@@ -100,8 +102,8 @@ class AdmissionPlan:
         return sum(len(round_batches) for round_batches in self.rounds)
 
 
-def _group_round(queue: Sequence[FleetEvent]
-                 ) -> Tuple[Tuple[int, Tuple[FleetEvent, ...]], ...]:
+def group_round(queue: Sequence[FleetEvent]
+                ) -> Tuple[Tuple[int, Tuple[FleetEvent, ...]], ...]:
     """Group one drained queue by endpoint, first-arrival order."""
     order: List[int] = []
     grouped: Dict[int, List[FleetEvent]] = {}
@@ -135,17 +137,43 @@ def plan_rounds(events: Sequence[FleetEvent],
     for event in events:
         if len(queue) >= queue_limit:
             stalls += 1
-            rounds.append(_group_round(queue))
+            rounds.append(group_round(queue))
             queue = []
         queue.append(event)
         hwm = max(hwm, len(queue))
     if queue:
-        rounds.append(_group_round(queue))
+        rounds.append(group_round(queue))
     return AdmissionPlan(tuple(rounds), hwm, stalls)
 
 
-#: Per-process worker fixtures, filled by :func:`initialize_fleet_worker`.
-_FLEET_STATE: Dict[str, Any] = {}
+@dataclasses.dataclass
+class FleetFixtures:
+    """Worker fixtures plus the fleet extras: the pools ``FleetEvent.ref``
+    indexes into, and the pre-pickled database snapshots a ``repro.dbops``
+    rollout may stamp into :attr:`~repro.fleet.shard.BatchJob.db_version`.
+    """
+
+    worker: WorkerFixtures
+    samples: List[EvasiveSample]
+    benign: List[BenignProgram]
+    version_blobs: Dict[int, bytes]
+    version_dbs: Dict[int, FrozenDeceptionDatabase] = dataclasses.field(
+        default_factory=dict)
+
+    def database_for(self, version_id: int) -> FrozenDeceptionDatabase:
+        """The frozen database for a stamped version id (lazily rehydrated).
+
+        Ids without a side-loaded blob resolve to the base database — the
+        serving backend re-initializes with the rolled-out version *as*
+        the base, so its stamps carry no separate blob.
+        """
+        database = self.version_dbs.get(version_id)
+        if database is None:
+            blob = self.version_blobs.get(version_id)
+            database = self.worker.database if blob is None else \
+                FrozenDeceptionDatabase.from_snapshot(pickle.loads(blob))
+            self.version_dbs[version_id] = database
+        return database
 
 
 def initialize_fleet_worker(factory_spec: FactorySpec,
@@ -157,79 +185,29 @@ def initialize_fleet_worker(factory_spec: FactorySpec,
                             delta: DeltaMode = True,
                             shared_keys: Optional[shared.SharedKeys] = None,
                             version_blobs: Optional[Dict[int, bytes]] = None
-                            ) -> None:
-    """Pool/serial initializer: build this worker's private fixtures.
-
-    Mirrors :func:`~repro.parallel.worker.initialize_worker` — database
-    snapshot arrives pre-pickled so serial and pooled workers deserialize
-    the exact same blob — plus the fleet extras: the sample pool and the
-    benign corpus the event stream's ``ref`` fields index into, and a
-    :class:`~repro.parallel.template.MachineTemplate` endpoints are
-    stamped from between batches (``template=False`` rebuilds from the
-    factory every batch; the benchmark's serial reference). ``delta`` is
-    handed to the template; ``shared_keys`` names fork-inherited payloads
-    (validated on lookup, pickled-path fallback on any miss).
-    ``version_blobs`` side-loads alternate deception-database snapshots
-    (pre-pickled, keyed by version id) a ``repro.dbops`` rollout may
-    stamp into :attr:`~repro.fleet.shard.BatchJob.db_version`; they are
-    rehydrated lazily, per worker, on first use.
+                            ) -> FleetFixtures:
+    """Pool/serial initializer: install (and return) this worker's fleet
+    fixtures — :func:`~repro.parallel.worker.acquire_fixtures`, exactly
+    as for a sweep worker, plus the sample pool ``profile`` selects, the
+    benign corpus and ``version_blobs`` (rehydrated lazily, on first use).
     """
-    TELEMETRY.enabled = bool(telemetry)
-    keys = shared_keys or shared.SharedKeys()
-    blob = (db_snapshot if isinstance(db_snapshot, bytes)
-            else pickle.dumps(db_snapshot))
-    database = shared.lookup_database(keys.database, blob)
-    _FLEET_STATE["shared_database"] = database is not None
-    if database is None:
-        database = FrozenDeceptionDatabase.from_snapshot(pickle.loads(blob))
-    factory = resolve_machine_factory(factory_spec)
-    machine_template: Optional[MachineTemplate] = None
-    _FLEET_STATE["shared_template"] = False
-    if template:
-        machine_template = shared.lookup_template(keys.template, delta)
-        if machine_template is not None:
-            _FLEET_STATE["shared_template"] = True
-        else:
-            machine_template = MachineTemplate(factory, delta=delta)
-            machine_template.build()
-        machine_source: Callable = machine_template.checkout
-    else:
-        machine_source = factory
-    _FLEET_STATE["machine_source"] = machine_source
-    _FLEET_STATE["template"] = machine_template
-    _FLEET_STATE["database"] = database
-    _FLEET_STATE["config"] = config
-    _FLEET_STATE["samples"] = build_sample_pool(profile)
-    _FLEET_STATE["benign"] = build_cnet_corpus()
-    _FLEET_STATE["version_blobs"] = dict(version_blobs or {})
-    _FLEET_STATE["version_dbs"] = {}
-
-
-def _version_database(version_id: int) -> FrozenDeceptionDatabase:
-    """The frozen database for a stamped version id (lazily rehydrated).
-
-    Ids without a side-loaded blob resolve to the base database — the
-    serving backend re-initializes workers with the rolled-out version
-    *as* the base, so its stamps carry no separate blob.
-    """
-    cache: Dict[int, FrozenDeceptionDatabase] = _FLEET_STATE["version_dbs"]
-    database = cache.get(version_id)
-    if database is None:
-        blob = _FLEET_STATE["version_blobs"].get(version_id)
-        database = _FLEET_STATE["database"] if blob is None else \
-            FrozenDeceptionDatabase.from_snapshot(pickle.loads(blob))
-        cache[version_id] = database
-    return database
+    fixtures = FleetFixtures(
+        worker=acquire_fixtures(factory_spec, db_snapshot, config, telemetry,
+                                template, delta, shared_keys),
+        samples=build_sample_pool(profile), benign=build_cnet_corpus(),
+        version_blobs=dict(version_blobs or {}))
+    return install_fixtures(fixtures)
 
 
 def _run_event(endpoint: ProtectedEndpoint, event: FleetEvent,
-               max_retries: int) -> Tuple[EventRecord, int]:
+               max_retries: int, fixtures: FleetFixtures
+               ) -> Tuple[EventRecord, int]:
     """One event with its retry budget; failures become structured records."""
     retries = 0
     while True:
         try:
-            record = endpoint.handle_event(
-                event, _FLEET_STATE["samples"], _FLEET_STATE["benign"])
+            record = endpoint.handle_event(event, fixtures.samples,
+                                           fixtures.benign)
         except Exception as exc:
             if retries < max_retries:
                 retries += 1
@@ -246,22 +224,22 @@ def _run_event(endpoint: ProtectedEndpoint, event: FleetEvent,
         return record, retries
 
 
-def execute_fleet_batch(job: BatchJob) -> BatchResult:
-    """Run one endpoint batch against this worker's fixtures."""
-    if "machine_source" not in _FLEET_STATE:
-        raise RuntimeError(
-            "fleet worker not initialized (initialize_fleet_worker)")
+def execute_fleet_batch(job: BatchJob, fixtures: FleetFixtures
+                        ) -> BatchResult:
+    """Run one endpoint batch against ``fixtures``."""
     baseline = TELEMETRY.snapshot() if TELEMETRY.enabled else None
-    machine = _FLEET_STATE["machine_source"]()
-    database = _version_database(job.db_version) if job.db_version \
-        else _FLEET_STATE["database"]
+    worker = fixtures.worker
+    machine = worker.machine_source()
+    database = fixtures.database_for(job.db_version) if job.db_version \
+        else worker.database
     endpoint = ProtectedEndpoint(
-        job.endpoint_id, machine, database, _FLEET_STATE["config"])
+        job.endpoint_id, machine, database, worker.config)
     records: List[EventRecord] = []
     retries_total = 0
     try:
         for event in job.events:
-            record, retries = _run_event(endpoint, event, job.max_retries)
+            record, retries = _run_event(endpoint, event, job.max_retries,
+                                         fixtures)
             retries_total += retries
             records.append(record)
     finally:
@@ -280,27 +258,14 @@ def execute_fleet_chunk(chunk: FleetChunk) -> bytes:
     """Pool entry point: one framed binary chunk envelope.
 
     Each batch result is pickled in its own frame (the sweep's per-entry
-    pickling discipline — byte parity with the serial path); the
-    :class:`~repro.parallel.envelope.ChunkHeader` reports this worker's
-    shared-state provenance and the restore work the chunk cost.
+    pickling discipline — byte parity with the serial path).
     """
-    template: Optional[MachineTemplate] = _FLEET_STATE.get("template")
-    def counters() -> Tuple[int, int, int]:
-        if template is None:
-            return (0, 0, 0)
-        return (template.delta_restore_count, template.full_restore_count,
-                template.dirty_subsystem_total)
-    before = counters()
-    results = [execute_fleet_batch(job) for job in chunk.jobs]
-    after = counters()
-    header = ChunkHeader(
-        worker_pid=os.getpid(),
-        shared_database=bool(_FLEET_STATE.get("shared_database")),
-        shared_template=bool(_FLEET_STATE.get("shared_template")),
-        delta_restores=after[0] - before[0],
-        full_restores=after[1] - before[1],
-        dirty_subsystems=after[2] - before[2])
-    return encode_chunk(results, header)
+    fixtures = installed_fixtures()
+    if not isinstance(fixtures, FleetFixtures):
+        raise RuntimeError(
+            "fleet worker not initialized (initialize_fleet_worker)")
+    return encode_chunk(*fixtures.worker.run_chunk(
+        chunk.jobs, lambda job: execute_fleet_batch(job, fixtures)))
 
 
 # -- run result ---------------------------------------------------------------
@@ -436,7 +401,6 @@ class FleetService:
                  telemetry: Optional[bool] = None,
                  template: bool = True,
                  delta: DeltaMode = True,
-                 shared_state: bool = True,
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
                  version_router: Optional[Any] = None) -> None:
@@ -482,8 +446,6 @@ class FleetService:
         #: full restores may resume under delta restores, results are
         #: identical by construction).
         self.delta = delta
-        #: Publish database/template to the fork-shared registry pre-pool.
-        self.shared_state = shared_state
         self.checkpoint_path = checkpoint_path
         self.resume = resume
         #: Deception-DB version router (duck-typed — ``repro.dbops``
@@ -567,8 +529,7 @@ class FleetService:
 
         telemetry_on = TELEMETRY.enabled if self.telemetry is None \
             else bool(self.telemetry)
-        shared_keys = (self._publish_shared(db_blob) if self.shared_state
-                       else shared.SharedKeys())
+        shared_keys = self._publish_shared(db_blob)
         version_blobs = dict(router.version_blobs()) \
             if router is not None else None
         initargs = (self.machine_factory, db_blob, self.config,
@@ -664,24 +625,9 @@ class FleetService:
         return count
 
     def _publish_shared(self, db_blob: bytes) -> shared.SharedKeys:
-        """Pre-fork: rehydrate the database and build the template once,
-        so pool workers inherit both copy-on-write instead of rebuilding.
-        Advisory only — workers validate and fall back on any miss."""
-        db_key = shared.publish_database(
-            db_blob,
-            FrozenDeceptionDatabase.from_snapshot(pickle.loads(db_blob)))
-        template_key: Optional[str] = None
-        if self.template:
-            factory = resolve_machine_factory(self.machine_factory)
-            factory_name = (self.machine_factory
-                            if isinstance(self.machine_factory, str)
-                            else getattr(factory, "__qualname__", "factory"))
-            template_key = shared.template_key(factory_name, id(factory),
-                                               self.delta)
-            template = MachineTemplate(factory, delta=self.delta)
-            template.build()
-            shared.publish_template(template_key, template)
-        return shared.SharedKeys(database=db_key, template=template_key)
+        """Pre-fork publish (:func:`repro.parallel.shared.publish_fixtures`)."""
+        return shared.publish_fixtures(self.machine_factory, db_blob,
+                                       self.template, self.delta)
 
     # -- sharded dispatch ------------------------------------------------------
 

@@ -25,12 +25,14 @@ refuses the hit.
 
 from __future__ import annotations
 
+import pickle
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.database import FrozenDeceptionDatabase
 from ..telemetry.metrics import TELEMETRY
+from .factories import FactorySpec, resolve_machine_factory
 from .template import MachineTemplate
 
 #: Module-level registry inherited through fork. Keyed by
@@ -44,7 +46,8 @@ class SharedKeys:
 
     Only the *keys* travel through the pool (a few dozen bytes); the
     payloads they name ride the fork. ``None`` means the parent did not
-    publish that payload (spawn platform, or shared state disabled).
+    publish that payload (no template without templating; nothing for
+    the serving backend or a test driving an initializer directly).
     """
 
     database: Optional[str] = None
@@ -78,6 +81,27 @@ def publish_template(key: str, template: MachineTemplate) -> str:
     """Publish a pre-built machine template under ``key``."""
     _REGISTRY[("template", key)] = template
     return key
+
+
+def publish_fixtures(factory_spec: FactorySpec, snapshot_blob: bytes,
+                     template: object, delta: object) -> SharedKeys:
+    """Pre-fork, for the sweep and the fleet alike: rehydrate the database
+    and (when ``template``) build the template once, so every forked
+    worker inherits both. Workers validate each key and fall back on a
+    miss, so this is pure optimisation — never correctness-bearing."""
+    db_key = publish_database(
+        snapshot_blob,
+        FrozenDeceptionDatabase.from_snapshot(pickle.loads(snapshot_blob)))
+    if not template:
+        return SharedKeys(database=db_key)
+    factory = resolve_machine_factory(factory_spec)
+    factory_name = (factory_spec if isinstance(factory_spec, str)
+                    else getattr(factory, "__qualname__", "factory"))
+    key = template_key(factory_name, id(factory), delta)
+    prebuilt = MachineTemplate(factory, delta=delta)
+    prebuilt.build()
+    return SharedKeys(database=db_key,
+                      template=publish_template(key, prebuilt))
 
 
 def lookup_database(key: Optional[str], blob: bytes) -> Optional[Any]:

@@ -41,7 +41,7 @@ from .envelope import (ChunkHeader, PairEnvelope, SweepEntry, SweepError,
                        SweepStats, canonical_entry, decode_chunk)
 from .executor import SerialExecutor, pool_context, should_use_process_pool
 from .factories import FactorySpec, resolve_machine_factory
-from .template import DeltaMode, MachineTemplate
+from .template import DeltaMode
 from .worker import (PairChunk, PairJob, TaskJob, TaskResult, TemplateMode,
                      execute_pair_chunk, execute_pair_job, execute_task_job,
                      initialize_worker)
@@ -161,8 +161,7 @@ class ParallelSweep:
                  telemetry: Optional[bool] = None,
                  template: TemplateMode = True,
                  chunksize: Optional[int] = None,
-                 delta: DeltaMode = True,
-                 shared_state: bool = True) -> None:
+                 delta: DeltaMode = True) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if chunksize is not None and chunksize < 1:
@@ -192,11 +191,6 @@ class ParallelSweep:
         #: subsystems each job dirtied, False always restores everything,
         #: "verify" delta-restores and proves skipped subsystems clean.
         self.delta = delta
-        #: Publish the frozen database and a pre-built template to the
-        #: fork-shared registry before creating the pool, so workers
-        #: inherit them instead of rebuilding (spawn platforms fall back
-        #: to the pickled path automatically).
-        self.shared_state = shared_state
 
     def run(self, samples: Sequence[EvasiveSample]) -> SweepResult:
         """Execute every sample pair; results come back submission-ordered."""
@@ -222,8 +216,7 @@ class ParallelSweep:
             config, jobs = pickle.loads(pickle.dumps((config, jobs)))
         telemetry_on = (TELEMETRY.enabled if self.telemetry is None
                         else bool(self.telemetry))
-        shared_keys = (self._publish_shared(snapshot_blob)
-                       if self.shared_state else shared.SharedKeys())
+        shared_keys = self._publish_shared(snapshot_blob)
         initargs = (self.machine_factory, snapshot_blob, config,
                     telemetry_on, self.template, self.delta, shared_keys)
         workers = self.max_workers if use_pool else 1
@@ -256,29 +249,9 @@ class ParallelSweep:
                            chunk_headers=headers)
 
     def _publish_shared(self, snapshot_blob: bytes) -> shared.SharedKeys:
-        """Pre-fork: rehydrate the database and build the template once.
-
-        Whatever lands in :mod:`repro.parallel.shared` before the pool
-        forks is inherited by every worker copy-on-write. Workers
-        validate each key and fall back to the pickled/rebuild path on a
-        miss, so this is pure optimisation — never correctness-bearing.
-        """
-        from ..core.database import FrozenDeceptionDatabase
-        db_key = shared.publish_database(
-            snapshot_blob,
-            FrozenDeceptionDatabase.from_snapshot(pickle.loads(snapshot_blob)))
-        template_key: Optional[str] = None
-        if self.template:
-            factory = resolve_machine_factory(self.machine_factory)
-            factory_name = (self.machine_factory
-                            if isinstance(self.machine_factory, str)
-                            else getattr(factory, "__qualname__", "factory"))
-            template_key = shared.template_key(factory_name, id(factory),
-                                               self.delta)
-            template = MachineTemplate(factory, delta=self.delta)
-            template.build()
-            shared.publish_template(template_key, template)
-        return shared.SharedKeys(database=db_key, template=template_key)
+        """Pre-fork publish (:func:`repro.parallel.shared.publish_fixtures`)."""
+        return shared.publish_fixtures(self.machine_factory, snapshot_blob,
+                                       self.template, self.delta)
 
     def _require_picklable_factory(self) -> None:
         resolve_machine_factory(self.machine_factory)  # fail fast on names
@@ -332,8 +305,7 @@ def make_executor(initargs: Optional[tuple], workers: int,
 
 def run_submissions(jobs: Sequence[Any], worker_fn: Callable[[Any], Any],
                     initargs: Optional[tuple], workers: int,
-                    unwrap: Optional[Callable[[Any], List[Any]]] = None,
-                    initializer: Optional[Callable[..., None]] = None
+                    unwrap: Optional[Callable[[Any], List[Any]]] = None
                     ) -> Tuple[List[Any], bool]:
     """Submit jobs to the chosen executor; collect in submission order.
 
@@ -345,7 +317,7 @@ def run_submissions(jobs: Sequence[Any], worker_fn: Callable[[Any], Any],
     per-job :class:`SweepError`/:class:`TaskResult` entries so one bad
     job — or one bad chunk — cannot sink the sweep.
     """
-    executor, used_pool = make_executor(initargs, workers, initializer)
+    executor, used_pool = make_executor(initargs, workers)
     entries: List[Any] = []
     with executor:
         futures = [executor.submit(worker_fn, job) for job in jobs]

@@ -19,7 +19,8 @@ import os
 import pickle
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.database import (DatabaseSnapshot, DeceptionDatabase,
                              FrozenDeceptionDatabase)
@@ -33,7 +34,7 @@ from .envelope import (ChunkHeader, PairEnvelope, SweepEntry, SweepError,
 from .factories import FactorySpec, MachineFactory, resolve_machine_factory
 from .template import TEMPLATE_PARITY_ERROR, DeltaMode, MachineTemplate
 
-#: Per-process worker state, filled by :func:`initialize_worker`.
+#: Per-process worker state: the ``"fixtures"`` a pool initializer installed.
 _STATE: Dict[str, Any] = {}
 
 #: ``template`` argument values accepted by :func:`initialize_worker` and
@@ -77,18 +78,57 @@ def _timed_factory(build: MachineFactory) -> MachineFactory:
     return timed
 
 
-def initialize_worker(factory_spec: FactorySpec,
-                      db_snapshot: Union[DatabaseSnapshot, bytes],
-                      config: Optional[ScarecrowConfig],
-                      telemetry: bool = False,
-                      template: TemplateMode = False,
-                      delta: DeltaMode = True,
-                      shared_keys: Optional[shared.SharedKeys] = None) -> None:
-    """Pool/serial initializer: build this worker's private fixtures.
+@dataclasses.dataclass
+class WorkerFixtures:
+    """One worker's private fixtures and where they came from — for the
+    sweep, the fleet and the serving backend alike (:func:`acquire_fixtures`).
+    """
+
+    database: FrozenDeceptionDatabase
+    config: Optional[ScarecrowConfig]
+    #: Timed machine source: a template checkout, or the bare factory.
+    machine_source: MachineFactory
+    fresh_factory: MachineFactory
+    template: Optional[MachineTemplate]
+    verify: bool
+    shared_database: bool
+    shared_template: bool
+
+    def run_chunk(self, jobs: Sequence[Any], execute: Callable[[Any], Any]
+                  ) -> Tuple[List[Any], ChunkHeader]:
+        """Run ``jobs`` through ``execute``; returns (results, the
+        :class:`ChunkHeader`: provenance plus the chunk's restore work)."""
+        before = self._restore_counters()
+        results = [execute(job) for job in jobs]
+        after = self._restore_counters()
+        return results, ChunkHeader(
+            worker_pid=os.getpid(),
+            shared_database=self.shared_database,
+            shared_template=self.shared_template,
+            delta_restores=after[0] - before[0],
+            full_restores=after[1] - before[1],
+            dirty_subsystems=after[2] - before[2])
+
+    def _restore_counters(self) -> Tuple[int, int, int]:
+        """(delta restores, full restores, dirty subsystems) so far."""
+        template = self.template
+        return (0, 0, 0) if template is None else (
+            template.delta_restore_count, template.full_restore_count,
+            template.dirty_subsystem_total)
+
+
+def acquire_fixtures(factory_spec: FactorySpec,
+                     db_snapshot: Union[DatabaseSnapshot, bytes],
+                     config: Optional[ScarecrowConfig],
+                     telemetry: bool, template: TemplateMode,
+                     delta: DeltaMode,
+                     shared_keys: Optional[shared.SharedKeys]
+                     ) -> WorkerFixtures:
+    """Build one worker's fixtures: database, machine source, provenance.
 
     ``db_snapshot`` is either a live :class:`DatabaseSnapshot` or its
-    pre-pickled bytes (what :class:`~repro.parallel.sweep.ParallelSweep`
-    ships, so serial and pooled workers deserialize the exact same blob).
+    pre-pickled bytes (what the sweep and the fleet ship, so serial and
+    pooled workers deserialize the exact same blob).
 
     ``template`` selects the machine source: ``False`` rebuilds from the
     factory on every run, ``True`` builds a :class:`MachineTemplate` once
@@ -98,38 +138,62 @@ def initialize_worker(factory_spec: FactorySpec,
     (dirty-set restores, full restores, or delta-verify).
 
     ``shared_keys`` names payloads the parent published to the
-    fork-shared registry (:mod:`repro.parallel.shared`) before creating
-    the pool. Every lookup validates and falls back to the pickled /
-    rebuild path on a miss — spawn platforms, corrupted registries and
-    stale keys all degrade to exactly the pre-shared behaviour, and
-    ``worker_shared_flags`` reports which path this worker actually took.
+    fork-shared registry (:func:`repro.parallel.shared.publish_fixtures`)
+    before creating the pool. Every lookup validates and falls back to
+    the pickled / rebuild path on a miss — spawn platforms, corrupted
+    registries and stale keys all degrade to exactly the pre-shared
+    behaviour, and the ``shared_*`` flags report which path this worker
+    actually took.
     """
     TELEMETRY.enabled = bool(telemetry)
     keys = shared_keys or shared.SharedKeys()
     blob = (db_snapshot if isinstance(db_snapshot, bytes)
             else pickle.dumps(db_snapshot))
     database = shared.lookup_database(keys.database, blob)
-    _STATE["shared_database"] = database is not None
+    shared_database = database is not None
     if database is None:
         database = FrozenDeceptionDatabase.from_snapshot(pickle.loads(blob))
     factory = resolve_machine_factory(factory_spec)
     machine_template: Optional[MachineTemplate] = None
-    _STATE["shared_template"] = False
+    shared_template = False
     if template:
         machine_template = shared.lookup_template(keys.template, delta)
-        if machine_template is not None:
-            _STATE["shared_template"] = True
-        else:
+        shared_template = machine_template is not None
+        if machine_template is None:
             machine_template = MachineTemplate(factory, delta=delta)
             _build_template(machine_template)
-        _STATE["factory"] = _timed_factory(machine_template.checkout)
-    else:
-        _STATE["factory"] = _timed_factory(factory)
-    _STATE["template"] = machine_template
-    _STATE["fresh_factory"] = factory
-    _STATE["verify"] = template == "verify"
-    _STATE["database"] = database
-    _STATE["config"] = config
+    source = factory if machine_template is None else machine_template.checkout
+    return WorkerFixtures(
+        database=database, config=config,
+        machine_source=_timed_factory(source), fresh_factory=factory,
+        template=machine_template, verify=template == "verify",
+        shared_database=shared_database, shared_template=shared_template)
+
+
+def initialize_worker(factory_spec: FactorySpec,
+                      db_snapshot: Union[DatabaseSnapshot, bytes],
+                      config: Optional[ScarecrowConfig],
+                      telemetry: bool = False,
+                      template: TemplateMode = False,
+                      delta: DeltaMode = True,
+                      shared_keys: Optional[shared.SharedKeys] = None
+                      ) -> WorkerFixtures:
+    """Pool/serial initializer: install (and return) the sweep fixtures
+    :func:`acquire_fixtures` builds."""
+    return install_fixtures(acquire_fixtures(
+        factory_spec, db_snapshot, config, telemetry, template, delta,
+        shared_keys))
+
+
+def install_fixtures(fixtures: Any) -> Any:
+    """Make ``fixtures`` this process's pool-worker fixtures."""
+    _STATE["fixtures"] = fixtures
+    return fixtures
+
+
+def installed_fixtures() -> Any:
+    """This process's pool-worker fixtures (None before any initializer)."""
+    return _STATE.get("fixtures")
 
 
 def _build_template(machine_template: MachineTemplate) -> None:
@@ -150,10 +214,11 @@ def reset_worker() -> None:
 
 def execute_pair_job(job: PairJob) -> SweepEntry:
     """Entry point the executors submit; relies on initializer state."""
-    entry = run_pair_job(job, _STATE["factory"], _STATE["database"],
-                         _STATE["config"])
-    if _STATE.get("verify") and isinstance(entry, PairEnvelope):
-        parity_error = _check_template_parity(job, entry)
+    fixtures: WorkerFixtures = installed_fixtures()
+    entry = run_pair_job(job, fixtures.machine_source, fixtures.database,
+                         fixtures.config)
+    if fixtures.verify and isinstance(entry, PairEnvelope):
+        parity_error = _check_template_parity(job, entry, fixtures)
         if parity_error is not None:
             return parity_error
     return entry
@@ -165,35 +230,14 @@ def execute_pair_chunk(chunk: PairChunk) -> bytes:
     Entries are pickled one frame at a time inside the envelope (see
     :func:`~repro.parallel.envelope.encode_record`), which keeps the
     parent's decoded entries free of cross-entry object sharing — chunked
-    results stay byte-identical to individually-submitted jobs. The
-    :class:`~repro.parallel.envelope.ChunkHeader` carries this worker's
-    shared-state provenance and the restore work the chunk cost.
+    results stay byte-identical to individually-submitted jobs.
     """
-    template: Optional[MachineTemplate] = _STATE.get("template")
-    before = _restore_counters(template)
-    entries = [execute_pair_job(job) for job in chunk.jobs]
-    after = _restore_counters(template)
-    header = ChunkHeader(
-        worker_pid=os.getpid(),
-        shared_database=bool(_STATE.get("shared_database")),
-        shared_template=bool(_STATE.get("shared_template")),
-        delta_restores=after[0] - before[0],
-        full_restores=after[1] - before[1],
-        dirty_subsystems=after[2] - before[2])
-    return encode_chunk(entries, header)
+    fixtures: WorkerFixtures = installed_fixtures()
+    return encode_chunk(*fixtures.run_chunk(chunk.jobs, execute_pair_job))
 
 
-def _restore_counters(template: Optional[MachineTemplate]
-                      ) -> Tuple[int, int, int]:
-    """(delta restores, full restores, dirty subsystems) so far."""
-    if template is None:
-        return (0, 0, 0)
-    return (template.delta_restore_count, template.full_restore_count,
-            template.dirty_subsystem_total)
-
-
-def _check_template_parity(job: PairJob,
-                           entry: PairEnvelope) -> Optional[SweepError]:
+def _check_template_parity(job: PairJob, entry: PairEnvelope,
+                           fixtures: WorkerFixtures) -> Optional[SweepError]:
     """Re-run ``job`` on a fresh-factory machine; compare pickled outcomes.
 
     The reference run executes with telemetry disabled so it cannot
@@ -203,8 +247,8 @@ def _check_template_parity(job: PairJob,
     TELEMETRY.enabled = False
     try:
         from ..experiments.runner import run_pair
-        reference = run_pair(job.sample, _STATE["fresh_factory"],
-                             _STATE["database"], _STATE["config"])
+        reference = run_pair(job.sample, fixtures.fresh_factory,
+                             fixtures.database, fixtures.config)
     except Exception as exc:
         return SweepError(
             index=job.index, sample_md5=job.sample.md5,

@@ -18,15 +18,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.database import DeceptionDatabase
-from ..core.profiles import ScarecrowConfig
 from ..parallel.factories import FactorySpec
 from ..parallel.shared import database_fingerprint
-from ..parallel.template import DeltaMode
 from ..telemetry.metrics import TELEMETRY
 from ..fleet.endpoint import EventRecord
-from ..fleet.events import FleetEvent, WorkloadProfile
-from ..fleet.service import (DEFAULT_FLEET_FACTORY, _group_round,
-                             execute_fleet_batch, initialize_fleet_worker)
+from ..fleet.events import FleetEvent
+from ..fleet.service import (DEFAULT_FLEET_FACTORY, FleetFixtures,
+                             execute_fleet_batch, group_round,
+                             initialize_fleet_worker)
 from ..fleet.shard import BatchJob, shard_of
 
 
@@ -35,6 +34,8 @@ class ShardedBackend:
 
     Fixture setup (database snapshot, machine template) is lazy and
     happens once, on the first submission — the resident-service shape.
+    The backend holds its fixtures itself, so an offline run or a sweep
+    in the same process cannot swap them out.
     Execution is synchronous and single-threaded; concurrency control
     (one submission at a time) belongs to the server's event loop.
     """
@@ -42,10 +43,6 @@ class ShardedBackend:
     def __init__(self, machine_factory: FactorySpec = DEFAULT_FLEET_FACTORY,
                  *, shards: int = 1,
                  database: Optional[DeceptionDatabase] = None,
-                 config: Optional[ScarecrowConfig] = None,
-                 profile: Optional[WorkloadProfile] = None,
-                 template: bool = True,
-                 delta: DeltaMode = True,
                  max_retries: int = 1) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -54,10 +51,6 @@ class ShardedBackend:
         self.machine_factory = machine_factory
         self.shards = shards
         self.database = database
-        self.config = config
-        self.profile = profile
-        self.template = template
-        self.delta = delta
         self.max_retries = max_retries
         self.batches_executed = 0
         self.events_executed = 0
@@ -70,21 +63,19 @@ class ShardedBackend:
         self.rollouts = 0
         #: Content fingerprint of the serving snapshot (set on first use).
         self.database_fingerprint = ""
-        self._ready = False
+        self._fixtures: Optional[FleetFixtures] = None
         self._next_index = 0
 
-    def _ensure_ready(self) -> None:
-        if self._ready:
-            return
-        database = self.database if self.database is not None \
-            else DeceptionDatabase()
-        blob = database.snapshot_bytes()
-        self.database_fingerprint = database_fingerprint(blob)
-        initialize_fleet_worker(
-            self.machine_factory, blob, self.config,
-            telemetry=TELEMETRY.enabled, template=self.template,
-            profile=self.profile, delta=self.delta)
-        self._ready = True
+    def _ensure_ready(self) -> FleetFixtures:
+        if self._fixtures is None:
+            database = self.database if self.database is not None \
+                else DeceptionDatabase()
+            blob = database.snapshot_bytes()
+            self.database_fingerprint = database_fingerprint(blob)
+            self._fixtures = initialize_fleet_worker(
+                self.machine_factory, blob, None,
+                telemetry=TELEMETRY.enabled)
+        return self._fixtures
 
     def adopt_version(self, version_id: int,
                       database: DeceptionDatabase) -> None:
@@ -102,7 +93,7 @@ class ShardedBackend:
         self.database = database
         self.database_version = version_id
         self.rollouts += 1
-        self._ready = False
+        self._fixtures = None
 
     def submit(self, events: Sequence[FleetEvent]
                ) -> Tuple[List[EventRecord], Dict[int, int]]:
@@ -113,17 +104,17 @@ class ShardedBackend:
         like one offline admission round — and records come back
         seq-sorted.
         """
-        self._ensure_ready()
+        fixtures = self._ensure_ready()
         routed: Dict[int, int] = {}
         records: List[EventRecord] = []
-        for endpoint_id, batch_events in _group_round(list(events)):
+        for endpoint_id, batch_events in group_round(list(events)):
             shard = shard_of(endpoint_id, self.shards)
             routed[shard] = routed.get(shard, 0) + 1
             job = BatchJob(self._next_index, endpoint_id, batch_events,
                            self.max_retries,
                            db_version=self.database_version)
             self._next_index += 1
-            result = execute_fleet_batch(job)
+            result = execute_fleet_batch(job, fixtures)
             records.extend(result.records)
             self.batches_executed += 1
             self.events_executed += len(result.records)

@@ -66,17 +66,14 @@ SNAPSHOT_EXEMPT_MARKER = "_SNAPSHOT_EXEMPT"
 #:   publication channel itself (fingerprint-validated lookups).
 #: * ``repro.parallel.factories._REGISTRY`` / ``_BUILTINS`` — machine
 #:   factory catalogues, registered at import time in every process.
-#: * ``repro.parallel.worker._STATE`` — per-worker scratch explicitly
-#:   rebuilt from the chunk header on first use.
-#: * ``repro.fleet.service._FLEET_STATE`` — the fleet twin of
-#:   ``worker._STATE``: per-worker fixtures filled by
-#:   ``initialize_fleet_worker`` in every process (serial and pooled).
+#: * ``repro.parallel.worker._STATE`` — the one worker runtime's
+#:   per-process fixtures, installed by the sweep's or the fleet's pool
+#:   initializer in every process (serial and pooled) before any job.
 FORK_SAFE_GLOBALS: FrozenSet[Tuple[str, str]] = frozenset({
     ("repro.parallel.shared", "_REGISTRY"),
     ("repro.parallel.factories", "_REGISTRY"),
     ("repro.parallel.factories", "_BUILTINS"),
     ("repro.parallel.worker", "_STATE"),
-    ("repro.fleet.service", "_FLEET_STATE"),
 })
 
 #: Modules whose objects cross the fork/pickle worker boundary.

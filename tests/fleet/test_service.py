@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.fleet import (FleetCheckpointError, FleetService, build_fleet_report,
                          generate_events, plan_rounds)
+from repro.parallel import fork_available
 
 pytestmark = pytest.mark.fleet
 
@@ -114,6 +115,8 @@ class TestPoolParity:
         serial = _service().run()
         pooled = _service(max_workers=2).run()
         assert pooled.used_process_pool
+        # Workers inherit the published database and template on fork.
+        assert pooled.shared_state_used or not fork_available()
         assert _rollup(pooled) == _rollup(serial)
         assert [r.to_dict() for r in pooled.records] == \
             [r.to_dict() for r in serial.records]

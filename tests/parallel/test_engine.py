@@ -114,9 +114,9 @@ class TestSweepStats:
 
     def test_worker_database_is_frozen(self):
         """A worker's rehydrated database refuses mutation."""
-        from repro.parallel.worker import _STATE, initialize_worker
-        initialize_worker("bare-metal", DeceptionDatabase().snapshot(), None)
-        database = _STATE["database"]
+        from repro.parallel.worker import initialize_worker
+        database = initialize_worker(
+            "bare-metal", DeceptionDatabase().snapshot(), None).database
         assert isinstance(database, FrozenDeceptionDatabase)
         with pytest.raises(FrozenDatabaseError):
             database.add_file("C:\\evil.sys", "vmware")

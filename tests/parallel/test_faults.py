@@ -139,7 +139,7 @@ class TestSpawnFallback:
         monkeypatch.setattr(sweep_module, "pool_context",
                             lambda: multiprocessing.get_context("spawn"))
         samples = build_malgene_corpus([SPEC])
-        result = ParallelSweep(max_workers=2, shared_state=True).run(samples)
+        result = ParallelSweep(max_workers=2).run(samples)
         assert result.used_process_pool
         assert not result.errors
         # Honest provenance: every chunk reports the fallback path.
@@ -156,37 +156,55 @@ class TestSpawnFallback:
 
 @pytest.mark.delta
 class TestCorruptedSharedRegistry:
-    """Bogus keys and poisoned registry entries must read as misses."""
+    """Bogus keys and poisoned registry entries must read as misses —
+    through the sweep's initializer and the fleet's alike."""
 
-    def _run_jobs(self, keys):
+    RUNTIMES = ("sweep", "fleet")
+
+    def _run_jobs(self, keys, runtime):
+        """One chunk through ``runtime``'s initializer: (flags, entries)."""
         import pickle as _pickle
 
         from repro.core.database import DeceptionDatabase
-        from repro.parallel import canonical_entry
-        from repro.parallel.worker import (PairJob, _STATE,
-                                           execute_pair_job,
+        from repro.fleet import (BatchJob, FleetChunk, execute_fleet_chunk,
+                                 generate_events, group_round,
+                                 initialize_fleet_worker)
+        from repro.parallel import canonical_entry, decode_chunk
+        from repro.parallel.worker import (PairChunk, PairJob,
+                                           execute_pair_chunk,
                                            initialize_worker, reset_worker)
-        samples = build_malgene_corpus([SPEC])
         blob = DeceptionDatabase().snapshot_bytes()
-        initialize_worker("bare-metal-light", blob, None, telemetry=False,
-                          template=True, delta=True, shared_keys=keys)
+        initializer = (initialize_worker if runtime == "sweep"
+                       else initialize_fleet_worker)
+        initializer("bare-metal-light", blob, None, telemetry=False,
+                    template=True, delta=True, shared_keys=keys)
         try:
-            flags = (_STATE["shared_database"], _STATE["shared_template"])
-            entries = [_pickle.dumps(canonical_entry(
-                execute_pair_job(PairJob(i, s))))
-                for i, s in enumerate(samples)]
+            if runtime == "sweep":
+                samples = build_malgene_corpus([SPEC])
+                entries, header = decode_chunk(execute_pair_chunk(PairChunk(
+                    [PairJob(i, s) for i, s in enumerate(samples)])))
+                entries = [canonical_entry(e) for e in entries]
+            else:
+                batches = group_round(generate_events(7, 2, 8))
+                entries, header = decode_chunk(execute_fleet_chunk(FleetChunk(
+                    tuple(BatchJob(i, endpoint_id, events)
+                          for i, (endpoint_id, events)
+                          in enumerate(batches)))))
         finally:
             reset_worker()
-        return flags, entries
+        return ((header.shared_database, header.shared_template),
+                [_pickle.dumps(e) for e in entries])
 
     def test_bogus_fingerprint_falls_back_honestly(self):
         from repro.parallel.shared import SharedKeys
-        baseline_flags, baseline = self._run_jobs(SharedKeys())
-        assert baseline_flags == (False, False)
-        flags, entries = self._run_jobs(
-            SharedKeys(database="deadbeef:123", template="no-such-key"))
-        assert flags == (False, False)
-        assert entries == baseline
+        for runtime in self.RUNTIMES:
+            baseline_flags, baseline = self._run_jobs(SharedKeys(), runtime)
+            assert baseline_flags == (False, False)
+            flags, entries = self._run_jobs(
+                SharedKeys(database="deadbeef:123", template="no-such-key"),
+                runtime)
+            assert flags == (False, False)
+            assert entries == baseline
 
     def test_poisoned_registry_value_is_refused(self):
         """Right fingerprint, wrong object: type validation turns the hit
@@ -196,17 +214,18 @@ class TestCorruptedSharedRegistry:
         from repro.parallel.shared import SharedKeys
         blob = DeceptionDatabase().snapshot_bytes()
         key = shared_registry.database_fingerprint(blob)
-        shared_registry.clear()
-        try:
-            shared_registry._REGISTRY[("database", key)] = {"not": "a db"}
-            shared_registry._REGISTRY[("template", "k")] = object()
-            flags, entries = self._run_jobs(
-                SharedKeys(database=key, template="k"))
-        finally:
+        for runtime in self.RUNTIMES:
             shared_registry.clear()
-        assert flags == (False, False)
-        _, baseline = self._run_jobs(SharedKeys())
-        assert entries == baseline
+            try:
+                shared_registry._REGISTRY[("database", key)] = {"not": "a db"}
+                shared_registry._REGISTRY[("template", "k")] = object()
+                flags, entries = self._run_jobs(
+                    SharedKeys(database=key, template="k"), runtime)
+            finally:
+                shared_registry.clear()
+            assert flags == (False, False)
+            _, baseline = self._run_jobs(SharedKeys(), runtime)
+            assert entries == baseline
 
 
 @pytest.mark.delta

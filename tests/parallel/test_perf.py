@@ -71,7 +71,7 @@ def test_zero_copy_pool_vs_templated_serial():
 
     serial_s, serial = _wall_time(samples, max_workers=1, template=True)
     pooled_s, pooled = _wall_time(samples, max_workers=2, template=True,
-                                  delta=True, shared_state=True)
+                                  delta=True)
     assert pooled.used_process_pool
 
     # Parity is unconditional: every mode, every core count.

@@ -1,5 +1,7 @@
 """Fixture-snippet unit tests for the SC001–SC005 checkers."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.staticcheck import build_context
@@ -47,6 +49,16 @@ class TestSC001ClockDiscipline:
         # ``from .time import x`` is a package-local module, not host time.
         findings = check_clock_discipline(ctx_for(
             "from .time import helper\n"))
+        assert findings == []
+
+    def test_winsim_is_clock_disciplined(self):
+        """Every winsim file is clean under raw SC001: no baseline."""
+        winsim = Path(__file__).resolve().parents[2] / "src/repro/winsim"
+        findings = []
+        for path in sorted(winsim.rglob("*.py")):
+            ctx = ctx_for(path.read_text(encoding="utf-8"), path=str(path))
+            findings += check_clock_discipline(ctx)
+            findings += [ctx.parse_error] if ctx.parse_error else []
         assert findings == []
 
 

@@ -176,15 +176,3 @@ class TestLintCli:
         assert result.returncode == 1
         assert "SC001" in result.stdout
 
-
-class TestWrapperCompat:
-    """tools/check_clock_discipline.py keeps its legacy surface."""
-
-    def test_tuple_api(self, tmp_path):
-        from tools.check_clock_discipline import check_paths, check_source
-        violations = check_source("bad.py", "import time\n")
-        assert violations == [("bad.py", 1, violations[0][2])]
-        assert "import time" in violations[0][2]
-        good = tmp_path / "good.py"
-        good.write_text("x = 1\n")
-        assert check_paths([str(good)]) == []

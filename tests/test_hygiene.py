@@ -78,49 +78,6 @@ class TestDeterminism:
         assert first == second
 
 
-class TestClockDiscipline:
-    """The winsim layer must never read host time or host randomness."""
-
-    REPO_ROOT = __import__("pathlib").Path(__file__).resolve().parents[1]
-    TOOL = REPO_ROOT / "tools" / "check_clock_discipline.py"
-
-    def _run(self, *args):
-        import subprocess
-        import sys
-        return subprocess.run(
-            [sys.executable, str(self.TOOL), *args],
-            capture_output=True, text=True, cwd=str(self.REPO_ROOT))
-
-    def test_winsim_is_clock_disciplined(self):
-        result = self._run()
-        assert result.returncode == 0, \
-            f"clock-discipline violations in winsim:\n{result.stdout}"
-
-    def test_lint_flags_host_clock_usage(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\n"
-                       "from random import random\n"
-                       "when = __import__('datetime')\n")
-        result = self._run(str(bad))
-        assert result.returncode == 1
-        assert "import time" in result.stdout
-        assert "random" in result.stdout
-
-    def test_lint_flags_method_calls(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("x = datetime.now()\ny = date.today()\n")
-        result = self._run(str(bad))
-        assert result.returncode == 1
-        assert "datetime.now()" in result.stdout
-        assert "date.today()" in result.stdout
-
-    def test_check_paths_api(self, tmp_path):
-        from tools.check_clock_discipline import check_paths
-        good = tmp_path / "good.py"
-        good.write_text("value = 1\n")
-        assert check_paths([str(good)]) == []
-
-
 @pytest.mark.staticcheck
 class TestStaticCheck:
     """`repro lint src/` must report zero unbaselined findings.

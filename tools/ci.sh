@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: scarelint first (cheap, catches structural rot), then the
-# tier-1 test suite, then the lint wall-time budget, then the fleet
-# rollup byte-identity sweep. Run from anywhere; mirrors what
-# .github/workflows/ci.yml executes.
+# tier-1 test suite, then the perfbench self-tests, then the lint
+# wall-time budget, then the fleet rollup byte-identity sweep. Run from
+# anywhere; mirrors what .github/workflows/ci.yml executes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,6 +24,11 @@ fi
 
 echo "== tier-1 test suite =="
 python -m pytest -x -q
+
+# The traced benchmark patches program functions by module and name
+# (perfbench/tracing.py SPANS); its tiny runs catch a renamed target.
+echo "== perfbench self-tests (tiny traced runs) =="
+python3 -m pytest perfbench/tests -q
 
 echo "== staticcheck benchmark gate (full-tree lint < 10s) =="
 python -m pytest benchmarks/bench_staticcheck.py --benchmark-only -q
