@@ -22,6 +22,13 @@ pool pay off: even on a single-core container, 2 pooled workers beat the
 fresh-factory serial path because 64 machine builds collapse into a
 handful of builds plus cheap in-place restores.
 
+Two speed gates pit the 2-worker pool against a serial reference on the
+light factory: the fresh-factory serial path, and the stricter templated
+serial path. Each gate discards one warm-up run per
+side, then takes the median wall time of alternated runs, and lands
+under the ``"gates"`` key with the core count it ran on. Both need at
+least 2 cores: on one core the workers time-slice it.
+
 Run: ``pytest benchmarks/bench_parallel.py --benchmark-only -s``
 """
 
@@ -29,6 +36,9 @@ import json
 import os
 import pathlib
 import pickle
+import statistics
+
+import pytest
 
 from repro.analysis.comparison import summarize
 from repro.malware.corpus import build_malgene_corpus
@@ -41,6 +51,8 @@ BENCH_SPEC = FamilySpec("Bench", (("spawn_idp", 12), ("term_vm", 8),
                                   ("sleep_sbx", 6), ("fail_peb", 4),
                                   ("selfdel", 2)))
 POOL_WORKER_COUNTS = (2, 4)
+#: Alternated timed runs per side of a speed gate, after one warm-up each.
+GATE_RUNS = 5
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_parallel.json"
 
@@ -55,6 +67,20 @@ def _run(samples, workers, template=True, delta=True):
                            delta=delta).run(samples)
     assert not result.errors, result.errors
     return result
+
+
+def _recorded():
+    """The payload ``BENCH_parallel.json`` holds now (empty if absent)."""
+    return json.loads(OUTPUT.read_text(encoding="utf-8")) \
+        if OUTPUT.exists() else {}
+
+
+def _write(section):
+    """Merge ``section`` into ``BENCH_parallel.json``, keeping other keys."""
+    payload = _recorded()
+    payload.update(section)
+    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n",
+                      encoding="utf-8")
 
 
 def _phase_rows(samples):
@@ -129,8 +155,7 @@ def test_bench_parallel_scaling(benchmark):
         "measurements": measurements,
         "phases": phases,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n",
-                      encoding="utf-8")
+    _write(payload)
     print(f"\nwrote {OUTPUT.name}: " +
           ", ".join(f"{m['mode']}/{m['workers']}w={m['wall_time_s']}s"
                     f" ({m['speedup']}x)" for m in measurements))
@@ -148,3 +173,82 @@ def test_bench_parallel_scaling(benchmark):
                        and m["workers"] == 4)
         assert pooled4["speedup"] >= 2.0, \
             "4-worker pool should be at least 2x faster than serial-fresh"
+
+
+def _speed_gate(benchmark, name, reference_kwargs, pooled_kwargs):
+    """Median wall times of alternated serial/pooled runs; records the gate.
+
+    One untimed warm-up per side, then :data:`GATE_RUNS` timed runs each,
+    alternating which side goes first. Returns the first serial and
+    pooled results for the caller's parity checks, plus the speedup.
+    """
+    samples = build_malgene_corpus([BENCH_SPEC])
+
+    def run(kwargs):
+        result = ParallelSweep(machine_factory="bare-metal-light",
+                               **kwargs).run(samples)
+        assert not result.errors, result.errors
+        return result
+
+    def alternated():
+        run(reference_kwargs)  # warm-up, untimed
+        run(pooled_kwargs)
+        walls = {"serial": [], "pooled": []}
+        results = {}
+        for index in range(GATE_RUNS):
+            order = ("serial", "pooled") if index % 2 == 0 else \
+                ("pooled", "serial")
+            for side in order:
+                result = run(reference_kwargs if side == "serial"
+                             else pooled_kwargs)
+                walls[side].append(result.wall_time_s)
+                results.setdefault(side, result)
+        return walls, results
+
+    walls, results = benchmark.pedantic(alternated, rounds=1, iterations=1)
+    serial_s = statistics.median(walls["serial"])
+    pooled_s = statistics.median(walls["pooled"])
+    speedup = round(serial_s / pooled_s, 3)
+    gates = _recorded().get("gates", {})
+    gates[name] = {
+        "corpus_size": len(samples), "machine_factory": "bare-metal-light",
+        "cpu_cores": os.cpu_count(), "runs_per_side": GATE_RUNS,
+        "serial": reference_kwargs, "pooled": pooled_kwargs,
+        "serial_median_s": round(serial_s, 4),
+        "pooled_median_s": round(pooled_s, 4), "speedup": speedup}
+    _write({"gates": gates})
+    print(f"\n{name}: serial {serial_s:.4f}s, pooled {pooled_s:.4f}s "
+          f"({speedup}x, {os.cpu_count()} cores)")
+    return results["serial"], results["pooled"], speedup
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="parallel speedup needs >=2 CPU cores")
+def test_gate_pool_beats_fresh_factory_serial(benchmark):
+    serial, pooled, speedup = _speed_gate(
+        benchmark, "pool_vs_fresh_serial",
+        {"max_workers": 1, "template": False},
+        {"max_workers": 2, "template": True})
+    assert pooled.used_process_pool
+    # Same verdicts, or the speedup is meaningless.
+    assert pooled.comparisons == serial.comparisons
+    assert speedup >= 1.0, (
+        f"2-worker templated pool ran at {speedup:.3f}x the fresh-factory "
+        "serial path; templating + chunking should make the pool at least "
+        "break even")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="parallel speedup needs >=2 CPU cores")
+def test_gate_zero_copy_pool_vs_templated_serial(benchmark):
+    serial, pooled, speedup = _speed_gate(
+        benchmark, "pool_vs_templated_serial",
+        {"max_workers": 1, "template": True},
+        {"max_workers": 2, "template": True, "delta": True})
+    assert pooled.used_process_pool
+    assert [pickle.dumps(e) for e in pooled.canonical_entries()] == \
+        [pickle.dumps(e) for e in serial.canonical_entries()]
+    assert speedup >= 1.0, (
+        f"zero-copy 2-worker pool ran at {speedup:.3f}x the templated "
+        "serial path; fork-shared bring-up + delta-restore should at "
+        "least break even against serial templating on >=2 cores")

@@ -16,6 +16,7 @@ Run: ``pytest benchmarks/bench_telemetry.py --benchmark-only -s``
 """
 
 import json
+import os
 import pathlib
 import time
 
@@ -113,6 +114,7 @@ def test_bench_telemetry_overhead(benchmark):
     payload = {
         "benchmark": "telemetry_dispatch_overhead",
         "iterations": ITERATIONS,
+        "cpu_cores": os.cpu_count(),
         "disabled_dispatch_ns": round(disabled_ns, 1),
         "disabled_hooked_dispatch_ns": round(disabled_hooked_ns, 1),
         "guard_ns": round(guard_ns, 2),

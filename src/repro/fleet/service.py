@@ -639,8 +639,10 @@ class FleetService:
         Each shard keeps at most one round in flight; a shard's next
         round submits the moment its previous round lands, independent
         of the other shards' progress — the global per-round barrier the
-        monolithic service had is gone. ``stop_after_rounds`` caps how
-        many shard-rounds *start*; in-flight rounds always finish (and
+        monolithic service had is gone. Between landings the parent
+        sleeps in :func:`_wait_any` until a whole round is done, so it
+        leaves the cores to the pool workers. ``stop_after_rounds`` caps
+        how many shard-rounds *start*; in-flight rounds always finish (and
         checkpoint) before returning.
         """
         started = 0
@@ -672,8 +674,7 @@ class FleetService:
                 started += 1
             if not inflight:
                 break
-            _wait_any([future for _, futures in inflight.values()
-                       for future in futures])
+            _wait_any([futures for _, futures in inflight.values()])
             for index in sorted(inflight):
                 chunks, futures = inflight[index]
                 if not all(_future_done(future) for future in futures):
@@ -743,16 +744,25 @@ def _future_done(future: Any) -> bool:
     return True if probe is None else bool(probe())
 
 
-def _wait_any(futures: Sequence[Any]) -> None:
-    """Block until at least one future is done (serial futures already are).
+def _wait_any(rounds: Sequence[Sequence[Any]]) -> None:
+    """Block until at least one in-flight round has fully landed.
 
-    Serial execution returns :class:`~repro.parallel.executor.
-    ImmediateFuture` objects (``done()`` is always True), so this only
-    actually blocks on real pool futures — and only when *none* are done
-    yet, so a mixed set can never deadlock or spin.
+    ``rounds`` holds each in-flight shard round's futures. Returns at once
+    when some round is already done, which is always the case for serial
+    :class:`~repro.parallel.executor.ImmediateFuture` rounds. Otherwise
+    the parent sleeps in ``concurrent.futures.wait(FIRST_COMPLETED)`` on
+    only the futures not yet done, waking once per chunk completion
+    until a whole round has landed. Each future's ``done()`` is probed
+    once per call; later completions come from ``wait``'s done set, so
+    the parent never spins on a half-landed round. Futures that are not
+    done yet must be :class:`concurrent.futures.Future` objects, as pool
+    futures are.
     """
-    remaining = [future for future in futures if not _future_done(future)]
-    if not remaining or len(remaining) < len(futures):
-        return
-    concurrent.futures.wait(remaining,
-                            return_when=concurrent.futures.FIRST_COMPLETED)
+    pending = [[future for future in futures if not _future_done(future)]
+               for futures in rounds]
+    while pending and all(pending):
+        done, _ = concurrent.futures.wait(
+            [future for group in pending for future in group],
+            return_when=concurrent.futures.FIRST_COMPLETED)
+        pending = [[future for future in group if future not in done]
+                   for group in pending]

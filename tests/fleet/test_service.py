@@ -5,7 +5,9 @@ events, queue_limit, profile)`` must yield the same canonical report
 serial or pooled, fresh or resumed, healthy or degraded.
 """
 
+import concurrent.futures
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,76 @@ class TestDegradation:
         assert degraded.degraded_chunks == degraded.chunks > 0
         assert degraded.completed
         assert _rollup(degraded) == _rollup(baseline)
+
+
+class TestCompletionDrivenDispatch:
+    """The parent sleeps on unfinished chunks; it never spins on done().
+
+    A pool's round lands chunk by chunk. Here every other submitted chunk
+    is held back and lands only once the parent blocks in
+    ``concurrent.futures.wait``, so each round is half-landed first. A
+    parent that polls ``done()`` instead would spin until the escape cap
+    lands the held chunks for it, and the probe count gives it away.
+    """
+
+    ESCAPE_PROBES = 10_000
+
+    def test_probes_stay_linear_in_chunks(self, monkeypatch):
+        probes = [0]
+        held = {}  # future -> its chunk blob, landed on release
+        real_wait = concurrent.futures.wait
+
+        class CountingFuture(concurrent.futures.Future):
+            def done(self):
+                probes[0] += 1
+                if probes[0] >= TestCompletionDrivenDispatch.ESCAPE_PROBES:
+                    release(list(held))
+                return super().done()
+
+        def release(futures):
+            for future in futures:
+                if future in held:
+                    future.set_result(held.pop(future))
+
+        def waiting(futures, **kwargs):
+            release(futures)
+            return real_wait(futures, **kwargs)
+
+        class HoldingExecutor:
+            """Runs chunks in-process; every other chunk lands late."""
+
+            def __init__(self, initializer, initargs):
+                initializer(*initargs)
+                self.submitted = 0
+
+            def submit(self, fn, chunk):
+                future = CountingFuture()
+                blob = pickle.loads(pickle.dumps(fn(chunk)))
+                if self.submitted % 2 == 0:
+                    held[future] = blob
+                else:
+                    future.set_result(blob)
+                self.submitted += 1
+                return future
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+        shape = dict(endpoints=8, events=64, queue_limit=16, shards=2)
+        serial = _service(**shape).run()
+        monkeypatch.setattr(concurrent.futures, "wait", waiting)
+        monkeypatch.setattr(
+            "repro.fleet.service.make_executor",
+            lambda initargs, workers, initializer:
+                (HoldingExecutor(initializer, initargs), True))
+        pooled = _service(max_workers=2, chunksize=1, **shape).run()
+        assert not held
+        assert pooled.chunks > 0 and pooled.degraded_chunks == 0
+        assert probes[0] <= 4 * pooled.chunks, (probes[0], pooled.chunks)
+        assert _rollup(pooled) == _rollup(serial)
 
 
 class TestCheckpointResume:

@@ -1,18 +1,14 @@
-"""Performance guard: the pool must not lose to the serial path again.
+"""Pool-vs-serial parity on the perf-guard corpus.
 
-PR 1 shipped a pool that was *slower* than serial (0.687× at 2 workers in
-the committed ``BENCH_parallel.json``) because every run rebuilt its
-machine from scratch. Machine templating plus chunked dispatch is the
-fix; this guard pins it so a regression fails CI on multi-core machines
-instead of silently re-appearing in the next benchmark run.
-
-The reference measurement is the *fresh-factory serial* path
-(``template=False``) — the historical cost the templated pool has to
-beat. ``benchmarks/bench_parallel.py`` measures the same ratio with more
-detail (per-phase timings, 4-worker scaling).
+The first pool was *slower* than serial because every run rebuilt its
+machine from scratch; machine templating plus chunked dispatch is the
+fix. The speed comparisons that pin it are wall-clock
+measurements, so they live in ``benchmarks/bench_parallel.py`` as gates
+(warm-up, median of alternated runs, recorded core count) that
+``tools/ci.sh`` runs. What stays here holds on every box and every run:
+the pooled sweep reproduces the serial references it is timed against.
 """
 
-import os
 import pickle
 
 import pytest
@@ -27,61 +23,31 @@ GUARD_SPEC = FamilySpec("PerfGuard", (("spawn_idp", 12), ("term_vm", 8),
                                       ("selfdel", 2)))
 
 
-def _wall_time(samples, **kwargs):
+def _sweep(samples, **kwargs):
     result = ParallelSweep(machine_factory="bare-metal-light",
                            **kwargs).run(samples)
     assert not result.errors, result.errors
-    return result.wall_time_s, result
+    return result
 
 
-@pytest.mark.perf
 @pytest.mark.slow
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="parallel speedup needs >=2 CPU cores")
-def test_pooled_sweep_beats_fresh_factory_serial():
+def test_pooled_sweep_matches_fresh_factory_serial():
     samples = build_malgene_corpus([GUARD_SPEC])
     assert len(samples) >= 32
 
-    fresh_serial_s, fresh = _wall_time(samples, max_workers=1,
-                                       template=False)
-    pooled_s, pooled = _wall_time(samples, max_workers=2, template=True)
+    fresh = _sweep(samples, max_workers=1, template=False)
+    pooled = _sweep(samples, max_workers=2, template=True)
     assert pooled.used_process_pool
-    # Same verdicts, or the speedup is meaningless.
     assert pooled.comparisons == fresh.comparisons
 
-    speedup = fresh_serial_s / pooled_s
-    assert speedup >= 1.0, (
-        f"2-worker templated pool ran at {speedup:.3f}x the fresh-factory "
-        f"serial path ({pooled_s:.4f}s vs {fresh_serial_s:.4f}s); "
-        "templating + chunking should make the pool at least break even")
 
-
-@pytest.mark.perf
 @pytest.mark.slow
 def test_zero_copy_pool_vs_templated_serial():
-    """The zero-copy bar, keyed off the core count.
-
-    On a multi-core box the fork-shared, delta-restoring pool must match
-    or beat the *templated* serial path — the strictest reference, since
-    templated serial pays no dispatch tax at all. On a single core that
-    timing comparison is meaningless (workers time-slice one core), so
-    byte-parity of the rollup is the guarantee that must hold.
-    """
+    """The fork-shared, delta-restoring pool reproduces templated serial."""
     samples = build_malgene_corpus([GUARD_SPEC])
 
-    serial_s, serial = _wall_time(samples, max_workers=1, template=True)
-    pooled_s, pooled = _wall_time(samples, max_workers=2, template=True,
-                                  delta=True)
+    serial = _sweep(samples, max_workers=1, template=True)
+    pooled = _sweep(samples, max_workers=2, template=True, delta=True)
     assert pooled.used_process_pool
-
-    # Parity is unconditional: every mode, every core count.
     assert [pickle.dumps(e) for e in pooled.canonical_entries()] == \
         [pickle.dumps(e) for e in serial.canonical_entries()]
-
-    if (os.cpu_count() or 1) >= 2:
-        speedup = serial_s / pooled_s
-        assert speedup >= 1.0, (
-            f"zero-copy 2-worker pool ran at {speedup:.3f}x the templated "
-            f"serial path ({pooled_s:.4f}s vs {serial_s:.4f}s); "
-            "fork-shared bring-up + delta-restore should at least break "
-            "even against serial templating on >=2 cores")

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: scarelint first (cheap, catches structural rot), then the
 # tier-1 test suite, then the perfbench self-tests, then the lint
-# wall-time budget, then the fleet rollup byte-identity sweep. Run from
-# anywhere; mirrors what .github/workflows/ci.yml executes.
+# wall-time budget, then the pool speed gates, then the fleet rollup
+# byte-identity sweep. Run from anywhere; mirrors what
+# .github/workflows/ci.yml executes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,6 +33,11 @@ python3 -m pytest perfbench/tests -q
 
 echo "== staticcheck benchmark gate (full-tree lint < 10s) =="
 python -m pytest benchmarks/bench_staticcheck.py --benchmark-only -q
+
+# Wall-clock speed gates live here, not in tier-1: warm-up plus the
+# median of alternated runs, each gate self-skipping below 2 cores.
+echo "== parallel benchmark gate (pool vs fresh and templated serial) =="
+python -m pytest benchmarks/bench_parallel.py --benchmark-only -q
 
 # Byte-identity across shards ∈ {1,2,4} is asserted on every box; the
 # sharded speedup assertion self-gates on os.cpu_count() >= 2, so this
