@@ -1,6 +1,6 @@
 """E9 — parallel sweep engine: templating + chunked dispatch payoff.
 
-Runs a 32-sample corpus through four execution modes on the *default*
+Runs a 32-sample corpus through three execution modes on the *default*
 (full ``bare-metal``) factory:
 
 * ``serial-fresh`` — 1 worker, a fresh machine per run (the PR-1
@@ -10,10 +10,8 @@ Runs a 32-sample corpus through four execution modes on the *default*
 * ``pooled-templated`` — 2- and 4-worker pools, each worker templating
   its own machine, jobs shipped in auto-sized chunks. These run the
   full zero-copy path: fork-shared database/template bring-up,
-  dirty-set delta-restore between jobs, framed binary chunk envelopes
-  on the return pipe;
-* ``pooled-full-restore`` — the 2-worker pool with ``delta=False``,
-  isolating what dirty-set restores are worth.
+  dirty-set restore between jobs, framed binary chunk envelopes on the
+  return pipe.
 
 Every mode must produce byte-identical pickled outcomes; the measurements
 (plus per-phase wall-clock timings from a telemetry-enabled pass) land in
@@ -62,9 +60,9 @@ PHASE_METRICS = ("wallclock.template_build_ns",
                  "wallclock.delta_restore_ns")
 
 
-def _run(samples, workers, template=True, delta=True):
-    result = ParallelSweep(max_workers=workers, template=template,
-                           delta=delta).run(samples)
+def _run(samples, workers, template=True):
+    result = ParallelSweep(max_workers=workers,
+                           template=template).run(samples)
     assert not result.errors, result.errors
     return result
 
@@ -115,10 +113,6 @@ def test_bench_parallel_scaling(benchmark):
         result = _run(samples, workers)
         assert result.used_process_pool
         runs.append(("pooled-templated", workers, result))
-    full_restore = _run(samples, POOL_WORKER_COUNTS[0], delta=False)
-    assert full_restore.used_process_pool
-    runs.append(("pooled-full-restore", POOL_WORKER_COUNTS[0],
-                 full_restore))
 
     # The engine's core guarantee: every mode, byte for byte.
     expected = pickle.dumps(reference.outcomes)
@@ -244,11 +238,11 @@ def test_gate_zero_copy_pool_vs_templated_serial(benchmark):
     serial, pooled, speedup = _speed_gate(
         benchmark, "pool_vs_templated_serial",
         {"max_workers": 1, "template": True},
-        {"max_workers": 2, "template": True, "delta": True})
+        {"max_workers": 2, "template": True})
     assert pooled.used_process_pool
     assert [pickle.dumps(e) for e in pooled.canonical_entries()] == \
         [pickle.dumps(e) for e in serial.canonical_entries()]
     assert speedup >= 1.0, (
         f"zero-copy 2-worker pool ran at {speedup:.3f}x the templated "
-        "serial path; fork-shared bring-up + delta-restore should at "
+        "serial path; fork-shared bring-up + dirty-set restore should at "
         "least break even against serial templating on >=2 cores")

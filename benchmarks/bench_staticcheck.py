@@ -69,6 +69,7 @@ def test_bench_staticcheck_full_tree(benchmark):
     per_file_ms = 1000.0 * cold_s / max(1, cold.files_scanned)
     payload = {
         "benchmark": "staticcheck_full_tree",
+        "cpu_cores": os.cpu_count(),
         "files_scanned": cold.files_scanned,
         "suppressed": len(cold.suppressed),
         "cold_wall_s": round(cold_s, 4),

@@ -186,14 +186,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.chunksize is not None and args.chunksize < 1:
         print("--chunksize must be >= 1", file=sys.stderr)
         return 2
-    if args.no_template and args.verify_template:
-        print("--no-template and --verify-template are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.no_delta and args.verify_delta:
-        print("--no-delta and --verify-delta are mutually exclusive",
-              file=sys.stderr)
-        return 2
     try:
         resolve_machine_factory(args.factory)
     except KeyError as exc:
@@ -213,22 +205,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.limit:
         samples = samples[:args.limit]
 
-    template = "verify" if args.verify_template else not args.no_template
-    delta = "verify" if args.verify_delta else not args.no_delta
+    template = "verify" if args.verify_template else True
     sweep = ParallelSweep(max_workers=args.workers,
                           machine_factory=args.factory,
-                          template=template, chunksize=args.chunksize,
-                          delta=delta)
+                          template=template, chunksize=args.chunksize)
     result = sweep.run(samples)
     summary = summarize(result.comparisons)
 
     mode = "process pool" if result.used_process_pool else "in-process"
-    template_label = {True: "on", False: "off"}.get(template, template)
-    delta_label = {True: "on", False: "off"}.get(delta, delta)
+    template_label = "on" if template is True else template
     shared_label = "yes" if result.shared_state_used else "no"
     print(f"sweep: {len(samples)} samples, {args.workers} worker(s) "
           f"({mode}), factory={args.factory}, template={template_label}, "
-          f"delta={delta_label}, shared-state={shared_label}")
+          f"shared-state={shared_label}")
     print(f"  wall time: {result.wall_time_s:.2f}s"
           f"  retries: {result.total_retries()}")
     print(f"  deactivated: {summary.deactivated}/{summary.total} "
@@ -284,23 +273,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint FILE", file=sys.stderr)
         return 2
-    if args.no_delta and args.verify_delta:
-        print("--no-delta and --verify-delta are mutually exclusive",
-              file=sys.stderr)
-        return 2
     try:
         resolve_machine_factory(args.factory)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    delta = "verify" if args.verify_delta else not args.no_delta
     try:
         service = FleetService(
             endpoints=args.endpoints, events=args.events, seed=args.seed,
             machine_factory=args.factory, max_workers=args.jobs,
             shards=args.shards,
             queue_limit=args.queue_limit, chunksize=args.chunksize,
-            template=not args.no_template, delta=delta,
+            template="verify" if args.verify_template else True,
             checkpoint_path=args.checkpoint,
             resume=args.resume)
     except ValueError as exc:
@@ -698,18 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--factory", default="bare-metal-light",
                        help="machine factory name "
                             "(see repro.parallel.available_factories)")
-    sweep.add_argument("--no-template", action="store_true",
-                       help="rebuild the machine from the factory for "
-                            "every run instead of snapshot/restore reuse")
     sweep.add_argument("--verify-template", action="store_true",
                        help="re-run every sample on a fresh machine and "
-                            "fail on any divergence from the templated run")
-    sweep.add_argument("--no-delta", action="store_true",
-                       help="full template restore between jobs instead of "
-                            "dirty-set delta restore")
-    sweep.add_argument("--verify-delta", action="store_true",
-                       help="delta-restore and prove every skipped "
-                            "subsystem still matches the template")
+                            "prove every template restore skipped only "
+                            "clean subsystems; fail on any divergence")
     sweep.add_argument("--chunksize", type=int, default=None,
                        help="jobs per pool submission (default: auto)")
     _add_telemetry_option(sweep)
@@ -733,15 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-queue bound (backpressure)")
     fleet.add_argument("--chunksize", type=int, default=None,
                        help="batches per pool submission (default: auto)")
-    fleet.add_argument("--no-template", action="store_true",
-                       help="rebuild each endpoint machine from the "
-                            "factory instead of snapshot/restore reuse")
-    fleet.add_argument("--no-delta", action="store_true",
-                       help="full template restore between batches instead "
-                            "of dirty-set delta restore")
-    fleet.add_argument("--verify-delta", action="store_true",
-                       help="delta-restore and prove every skipped "
-                            "subsystem still matches the template")
+    fleet.add_argument("--verify-template", action="store_true",
+                       help="prove every template restore skipped only "
+                            "clean subsystems; fail on any divergence")
     fleet.add_argument("--checkpoint", metavar="FILE", default=None,
                        help="write a resumable checkpoint after each round")
     fleet.add_argument("--resume", action="store_true",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from ..analysis.agent import RunRecord, run_sample
 from ..analysis.comparison import ComparisonResult, compare_runs
@@ -14,9 +14,6 @@ from ..malware.sample import EvasiveSample
 from ..winsim.machine import Machine
 
 MachineFactory = Callable[[], Machine]
-#: Mirrors :data:`repro.parallel.worker.TemplateMode` (kept literal here so
-#: importing the runner never pulls the parallel package in eagerly).
-TemplateMode = Union[bool, str]
 
 
 @dataclasses.dataclass
@@ -49,26 +46,20 @@ def run_pairs(samples: List[EvasiveSample],
               machine_factory: Optional[MachineFactory] = None,
               database: Optional[DeceptionDatabase] = None,
               config: Optional[ScarecrowConfig] = None,
-              max_workers: int = 1,
-              template: "TemplateMode" = True,
-              chunksize: Optional[int] = None) -> List[PairOutcome]:
+              max_workers: int = 1) -> List[PairOutcome]:
     """Corpus-scale sweep with one shared (read-only) deception database.
 
     Delegates to :class:`repro.parallel.ParallelSweep`; ``max_workers=1``
     (the default) runs in-process, larger values shard the corpus across a
-    worker pool with identical ordered output. ``template`` (default on)
-    reuses one machine per worker via snapshot/restore instead of
-    rebuilding per run — byte-identical results, much cheaper; pass
-    ``"verify"`` to prove that per job, or ``False`` for the historical
-    rebuild-every-run behaviour. ``chunksize`` batches jobs per pool
-    submission (None = auto). Failures raise, as the historical serial
-    path did — use :class:`~repro.parallel.ParallelSweep` directly for the
-    graceful-degradation surface (per-sample errors, retry counts,
-    execution stats).
+    worker pool with identical ordered output; each worker reuses one
+    templated machine via snapshot/restore instead of rebuilding per run
+    (byte-identical results, much cheaper). Failures raise, as the
+    historical serial path did — use :class:`~repro.parallel.ParallelSweep`
+    directly for the graceful-degradation surface (per-sample errors,
+    retry counts, execution stats).
     """
     from ..parallel import ParallelSweep
     sweep = ParallelSweep(max_workers=max_workers,
                           machine_factory=machine_factory,
-                          database=database, config=config,
-                          template=template, chunksize=chunksize)
+                          database=database, config=config)
     return sweep.run(samples).outcomes_or_raise()

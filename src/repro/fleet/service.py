@@ -56,10 +56,11 @@ from ..malware.benign import BenignProgram, build_cnet_corpus
 from ..malware.sample import EvasiveSample
 from ..parallel import shared
 from ..parallel.envelope import ChunkHeader, decode_chunk, encode_chunk
+from ..parallel.executor import pool_scope
 from ..parallel.factories import FactorySpec
 from ..parallel.sweep import auto_chunksize, make_executor
-from ..parallel.template import DeltaMode
-from ..parallel.worker import (WorkerFixtures, acquire_fixtures,
+from ..parallel.worker import (TEMPLATE_MODES, TemplateMode,
+                               WorkerFixtures, acquire_fixtures,
                                install_fixtures, installed_fixtures)
 from ..telemetry.metrics import TELEMETRY
 from ..telemetry.snapshot import MetricsSnapshot
@@ -180,9 +181,8 @@ def initialize_fleet_worker(factory_spec: FactorySpec,
                             db_snapshot: Any,
                             config: Optional[ScarecrowConfig],
                             telemetry: bool = False,
-                            template: bool = True,
+                            template: TemplateMode = True,
                             profile: Optional[WorkloadProfile] = None,
-                            delta: DeltaMode = True,
                             shared_keys: Optional[shared.SharedKeys] = None,
                             version_blobs: Optional[Dict[int, bytes]] = None
                             ) -> FleetFixtures:
@@ -193,7 +193,7 @@ def initialize_fleet_worker(factory_spec: FactorySpec,
     """
     fixtures = FleetFixtures(
         worker=acquire_fixtures(factory_spec, db_snapshot, config, telemetry,
-                                template, delta, shared_keys),
+                                template, shared_keys),
         samples=build_sample_pool(profile), benign=build_cnet_corpus(),
         version_blobs=dict(version_blobs or {}))
     return install_fixtures(fixtures)
@@ -399,8 +399,7 @@ class FleetService:
                  chunksize: Optional[int] = None,
                  max_retries: int = 1,
                  telemetry: Optional[bool] = None,
-                 template: bool = True,
-                 delta: DeltaMode = True,
+                 template: TemplateMode = True,
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
                  version_router: Optional[Any] = None) -> None:
@@ -420,9 +419,9 @@ class FleetService:
             raise ValueError("max_retries must be >= 0")
         if resume and not checkpoint_path:
             raise ValueError("resume=True requires a checkpoint_path")
-        if delta not in (True, False, "verify"):
+        if template not in TEMPLATE_MODES:
             raise ValueError(
-                f"delta must be True, False or 'verify', got {delta!r}")
+                f"template must be one of {TEMPLATE_MODES}, got {template!r}")
         self.endpoints = endpoints
         self.events = events
         self.seed = seed
@@ -440,12 +439,10 @@ class FleetService:
         self.chunksize = chunksize
         self.max_retries = max_retries
         self.telemetry = telemetry
+        #: Machine-reuse mode, as for the sweep, except that "verify"
+        #: means the dirty-set cross-check only (no fresh re-run).
+        #: Execution shape, so not part of the checkpoint fingerprint.
         self.template = template
-        #: Template rewind strategy (execution shape — deliberately *not*
-        #: part of the checkpoint fingerprint: a run interrupted under
-        #: full restores may resume under delta restores, results are
-        #: identical by construction).
-        self.delta = delta
         self.checkpoint_path = checkpoint_path
         self.resume = resume
         #: Deception-DB version router (duck-typed — ``repro.dbops``
@@ -534,7 +531,7 @@ class FleetService:
             if router is not None else None
         initargs = (self.machine_factory, db_blob, self.config,
                     telemetry_on, self.template, self.profile,
-                    self.delta, shared_keys, version_blobs)
+                    shared_keys, version_blobs)
 
         degraded = 0
         chunks_run = 0
@@ -546,7 +543,7 @@ class FleetService:
             if any(shard.has_pending() for shard in shards):
                 executor, used_pool = make_executor(
                     initargs, self.max_workers, initialize_fleet_worker)
-                with executor:
+                with pool_scope(executor):
                     chunks_run, degraded, headers = self._dispatch(
                         executor, shards, initargs, stop_after_rounds)
         finally:
@@ -627,7 +624,7 @@ class FleetService:
     def _publish_shared(self, db_blob: bytes) -> shared.SharedKeys:
         """Pre-fork publish (:func:`repro.parallel.shared.publish_fixtures`)."""
         return shared.publish_fixtures(self.machine_factory, db_blob,
-                                       self.template, self.delta)
+                                       self.template)
 
     # -- sharded dispatch ------------------------------------------------------
 

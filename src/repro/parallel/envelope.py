@@ -17,7 +17,10 @@ Each frame names the record type it carries, stores a crc32 of its
 payload, and compresses the payload when that is a win — and each entry
 is pickled *separately* inside its frame, so decoded entries are free of
 cross-entry object sharing and stay byte-identical to individually
-submitted jobs. Corruption anywhere (bad magic, wrong version, crc
+submitted jobs. Compression stays because it was measured: a sweep
+pair's frame is ~4.4 KB raw and ~1.6 KB compressed, and without it the
+pooled full-corpus sweep's peak RSS rose from 54.5 to 58.0 MB while its
+throughput won only 2 of 5 alternating pairs. Corruption anywhere (bad magic, wrong version, crc
 mismatch, type-tag mismatch) raises :class:`EnvelopeError` at decode;
 the sweep degrades the affected chunk to per-job errors instead of
 aborting.

@@ -9,15 +9,22 @@ there, but the pool still works because everything that crosses the
 boundary (factory names, pre-pickled database snapshots, job chunks) is
 picklable by construction. ``max_workers=1`` gets :class:`SerialExecutor`,
 an in-process stand-in with the same ``submit``/``shutdown`` surface, so
-callers never branch.
+callers never branch. Both the sweep and the fleet hold their executor
+in :func:`pool_scope`, so an interrupted run cancels its pool instead of
+waiting for it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import pickle
 import warnings
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
+
+#: Seconds :func:`pool_scope` waits for a terminated worker to exit
+#: before killing it.
+_TERMINATE_GRACE_S = 5.0
 
 
 class ImmediateFuture:
@@ -111,3 +118,33 @@ def should_use_process_pool(max_workers: int) -> bool:
     the default start method via :func:`pool_context` instead.
     """
     return max_workers > 1
+
+
+@contextlib.contextmanager
+def pool_scope(executor: Any) -> Iterator[Any]:
+    """Hold ``executor`` for one run; shut it down however the run ends.
+
+    A normal exit waits for the workers (``with executor:``). Any other
+    exit — ``KeyboardInterrupt`` above all — must not: a worker stuck in
+    a job, or wedged on a queue lock by the same ^C, would hang
+    ``shutdown(wait=True)`` forever. So queued submissions are cancelled,
+    the pool's processes terminated (killed after
+    :data:`_TERMINATE_GRACE_S`) and joined, and the exception propagates.
+    """
+    with executor:
+        try:
+            yield executor
+        except BaseException:
+            # ProcessPoolExecutor has no public handle on its processes;
+            # take them before shutdown() drops the mapping.
+            processes = list(
+                (getattr(executor, "_processes", None) or {}).values())
+            executor.shutdown(wait=False, cancel_futures=True)
+            for process in processes:
+                process.terminate()
+            for process in processes:
+                process.join(_TERMINATE_GRACE_S)
+                if process.is_alive():
+                    process.kill()
+                    process.join()
+            raise

@@ -9,8 +9,8 @@ frozen deception database and a pre-built
 them up by key in their initializer.
 
 The registry is advisory, never load-bearing: every lookup validates what
-it finds (content fingerprint for the database blob, type and delta mode
-for the template) and a miss simply falls back to the pickled-transfer
+it finds (content fingerprint for the database blob, type and build
+state for the template) and a miss simply falls back to the pickled-transfer
 path that spawn-start-method platforms always use. The sweep reports
 which path each worker actually took (``shared_state_used`` /
 ``ChunkHeader.shared_database``), so "zero-copy" is an observed fact, not
@@ -59,15 +59,15 @@ def database_fingerprint(blob: bytes) -> str:
     return f"{zlib.crc32(blob) & 0xFFFFFFFF:08x}:{len(blob)}"
 
 
-def template_key(factory_name: str, factory_id: int, delta: object) -> str:
+def template_key(factory_name: str, factory_id: int) -> str:
     """Registry key for a pre-built template.
 
     Includes the resolved callable's ``id()``: a forked child sees the
     same object at the same address, while a spawn child (fresh import)
     almost certainly does not — a cheap way to make stale hits unlikely
-    on top of the type/delta validation at lookup.
+    on top of the type validation at lookup.
     """
-    return f"{factory_name}:{factory_id:#x}:delta={delta!r}"
+    return f"{factory_name}:{factory_id:#x}"
 
 
 def publish_database(blob: bytes, database: Any) -> str:
@@ -84,7 +84,7 @@ def publish_template(key: str, template: MachineTemplate) -> str:
 
 
 def publish_fixtures(factory_spec: FactorySpec, snapshot_blob: bytes,
-                     template: object, delta: object) -> SharedKeys:
+                     template: object) -> SharedKeys:
     """Pre-fork, for the sweep and the fleet alike: rehydrate the database
     and (when ``template``) build the template once, so every forked
     worker inherits both. Workers validate each key and fall back on a
@@ -97,8 +97,8 @@ def publish_fixtures(factory_spec: FactorySpec, snapshot_blob: bytes,
     factory = resolve_machine_factory(factory_spec)
     factory_name = (factory_spec if isinstance(factory_spec, str)
                     else getattr(factory, "__qualname__", "factory"))
-    key = template_key(factory_name, id(factory), delta)
-    prebuilt = MachineTemplate(factory, delta=delta)
+    key = template_key(factory_name, id(factory))
+    prebuilt = MachineTemplate(factory)
     prebuilt.build()
     return SharedKeys(database=db_key,
                       template=publish_template(key, prebuilt))
@@ -128,19 +128,17 @@ def lookup_database(key: Optional[str], blob: bytes) -> Optional[Any]:
     return found
 
 
-def lookup_template(key: Optional[str],
-                    delta: object) -> Optional[MachineTemplate]:
+def lookup_template(key: Optional[str]) -> Optional[MachineTemplate]:
     """The inherited pre-built template for ``key`` — or None.
 
-    Refuses entries that are not a built :class:`MachineTemplate` with
-    the requested delta mode (corruption, or a sweep reconfigured between
-    publish and fork).
+    Refuses entries that are not a built :class:`MachineTemplate`
+    (corruption, or a registry cleared and refilled between publish and
+    fork).
     """
     if key is None:
         return None
     found = _REGISTRY.get(("template", key))
-    if (not isinstance(found, MachineTemplate) or not found.built
-            or found.delta != delta):
+    if not isinstance(found, MachineTemplate) or not found.built:
         TELEMETRY.count("parallel.shared_template_misses")
         return None
     TELEMETRY.count("parallel.shared_template_hits")

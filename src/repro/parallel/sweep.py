@@ -39,12 +39,12 @@ from ..telemetry.snapshot import MetricsSnapshot
 from . import shared
 from .envelope import (ChunkHeader, PairEnvelope, SweepEntry, SweepError,
                        SweepStats, canonical_entry, decode_chunk)
-from .executor import SerialExecutor, pool_context, should_use_process_pool
+from .executor import (SerialExecutor, pool_context, pool_scope,
+                       should_use_process_pool)
 from .factories import FactorySpec, resolve_machine_factory
-from .template import DeltaMode
-from .worker import (PairChunk, PairJob, TaskJob, TaskResult, TemplateMode,
-                     execute_pair_chunk, execute_pair_job, execute_task_job,
-                     initialize_worker)
+from .worker import (TEMPLATE_MODES, PairChunk, PairJob, TaskJob,
+                     TaskResult, TemplateMode, execute_pair_chunk,
+                     execute_pair_job, execute_task_job, initialize_worker)
 
 #: Default machine factory — matches ``run_pair``'s historical default
 #: (:func:`repro.analysis.environments.build_bare_metal_sandbox`).
@@ -160,19 +160,14 @@ class ParallelSweep:
                  max_retries: int = 1,
                  telemetry: Optional[bool] = None,
                  template: TemplateMode = True,
-                 chunksize: Optional[int] = None,
-                 delta: DeltaMode = True) -> None:
+                 chunksize: Optional[int] = None) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if chunksize is not None and chunksize < 1:
             raise ValueError("chunksize must be >= 1")
-        if template not in (True, False, "verify"):
+        if template not in TEMPLATE_MODES:
             raise ValueError(
-                "template must be True, False or 'verify', "
-                f"got {template!r}")
-        if delta not in (True, False, "verify"):
-            raise ValueError(
-                f"delta must be True, False or 'verify', got {delta!r}")
+                f"template must be one of {TEMPLATE_MODES}, got {template!r}")
         self.max_workers = max_workers
         self.machine_factory = machine_factory or DEFAULT_FACTORY
         self.database = database
@@ -182,15 +177,12 @@ class ParallelSweep:
         #: :meth:`run` time; True/False force it for this sweep's workers.
         self.telemetry = telemetry
         #: Machine-reuse mode: True (default) templates each worker's
-        #: machine, False rebuilds per run, "verify" templates and proves
+        #: machine, False rebuilds per run (the parity oracle), "verify"
+        #: templates, cross-checks every checkout's dirty set and proves
         #: byte-parity against a fresh-factory reference run per job.
         self.template = template
         #: Jobs per pool submission; None = auto (see :func:`auto_chunksize`).
         self.chunksize = chunksize
-        #: Template rewind strategy: True (default) restores only the
-        #: subsystems each job dirtied, False always restores everything,
-        #: "verify" delta-restores and proves skipped subsystems clean.
-        self.delta = delta
 
     def run(self, samples: Sequence[EvasiveSample]) -> SweepResult:
         """Execute every sample pair; results come back submission-ordered."""
@@ -218,7 +210,7 @@ class ParallelSweep:
                         else bool(self.telemetry))
         shared_keys = self._publish_shared(snapshot_blob)
         initargs = (self.machine_factory, snapshot_blob, config,
-                    telemetry_on, self.template, self.delta, shared_keys)
+                    telemetry_on, self.template, shared_keys)
         workers = self.max_workers if use_pool else 1
         chunksize = self.chunksize or auto_chunksize(len(jobs), workers)
         chunks = [PairChunk(jobs[i:i + chunksize])
@@ -251,7 +243,7 @@ class ParallelSweep:
     def _publish_shared(self, snapshot_blob: bytes) -> shared.SharedKeys:
         """Pre-fork publish (:func:`repro.parallel.shared.publish_fixtures`)."""
         return shared.publish_fixtures(self.machine_factory, snapshot_blob,
-                                       self.template, self.delta)
+                                       self.template)
 
     def _require_picklable_factory(self) -> None:
         resolve_machine_factory(self.machine_factory)  # fail fast on names
@@ -319,7 +311,7 @@ def run_submissions(jobs: Sequence[Any], worker_fn: Callable[[Any], Any],
     """
     executor, used_pool = make_executor(initargs, workers)
     entries: List[Any] = []
-    with executor:
+    with pool_scope(executor):
         futures = [executor.submit(worker_fn, job) for job in jobs]
         for job, future in zip(jobs, futures):
             try:

@@ -27,16 +27,17 @@ Parity is a feature, not a hope: a restored machine produces pickled
 outcomes byte-identical to a fresh factory build, and
 ``ParallelSweep(template="verify")`` proves it per job by re-running every
 sample on a fresh machine and comparing the pickled, detached outcomes
-(divergence surfaces as a ``TemplateParityError`` sweep entry). The
-delta layer has its own verify mode: ``MachineTemplate(delta="verify")``
-cross-checks every subsystem the delta claimed clean against the captured
-template state and raises :class:`TemplateParityError` on divergence.
+(divergence surfaces as a ``TemplateParityError`` sweep entry). The same
+mode cross-checks the dirty set itself: after each checkout,
+:meth:`MachineTemplate.verify_clean` compares every subsystem the restore
+skipped against the captured template state and raises
+:class:`TemplateParityError` on divergence.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Set, Union
+from typing import Optional, Set
 
 from ..telemetry.metrics import TELEMETRY
 from ..winsim.machine import TRACKED_SUBSYSTEMS, Machine
@@ -44,8 +45,8 @@ from .factories import FactorySpec, resolve_machine_factory
 
 #: ``SweepError.error_type`` recorded when a templated run diverges from
 #: its fresh-factory reference in ``template="verify"`` mode — and the
-#: ``__name__`` of :class:`TemplateParityError`, so delta-verify failures
-#: land under the same type label.
+#: ``__name__`` of :class:`TemplateParityError`, so dirty-set cross-check
+#: failures land under the same type label.
 TEMPLATE_PARITY_ERROR = "TemplateParityError"
 
 #: Every key :meth:`~repro.winsim.machine.Machine.snapshot_state` may
@@ -57,17 +58,10 @@ _KNOWN_STATE_KEYS = frozenset(TRACKED_SUBSYSTEMS) | {
     "processes", "handles", "explorer_pid",
 }
 
-_DELTA_MODES = (True, False, "verify")
-
-#: ``delta`` argument values accepted by :class:`MachineTemplate`,
-#: :class:`~repro.parallel.sweep.ParallelSweep` and
-#: :class:`~repro.fleet.service.FleetService`.
-DeltaMode = Union[bool, str]
-
 
 class TemplateParityError(RuntimeError):
     """A subsystem the delta-restore claimed clean diverged from the
-    captured template state (``delta="verify"`` cross-check)."""
+    captured template state (:meth:`MachineTemplate.verify_clean`)."""
 
 
 class MachineTemplate:
@@ -78,27 +72,18 @@ class MachineTemplate:
     — exactly the sweep worker's run-one-job-at-a-time discipline. Not
     thread-safe for the same reason.
 
-    ``delta`` picks the rewind strategy:
-
-    * ``True`` (default) — restore only the subsystems whose generation
-      counters moved since the last checkout.
-    * ``False`` — always full :meth:`~repro.winsim.machine.Machine.
-      restore_state` (the pre-delta behaviour).
-    * ``"verify"`` — delta-restore, then prove every subsystem the delta
-      skipped still matches the template state; divergence raises
-      :class:`TemplateParityError`.
+    Every checkout after the first restores only the subsystems whose
+    generation counters moved since the previous one (dirty-set restore).
+    A machine that snapshots state the counters do not cover gets full
+    restores instead (:attr:`delta_capable`).
     """
 
-    def __init__(self, factory: FactorySpec, delta: object = True) -> None:
-        if delta not in _DELTA_MODES:
-            raise ValueError(
-                f"delta must be one of {_DELTA_MODES}, got {delta!r}")
+    def __init__(self, factory: FactorySpec) -> None:
         self._build_machine = resolve_machine_factory(factory)
         self._machine: Optional[Machine] = None
         self._state: Optional[dict] = None
         self._versions: Optional[dict] = None
         self._pristine = False
-        self.delta = delta
         #: False when the machine snapshots state the generation counters
         #: do not cover (unknown snapshot key) — every checkout then falls
         #: back to a full restore, honestly counted in
@@ -134,20 +119,19 @@ class MachineTemplate:
 
         The first checkout after :meth:`build` returns the machine as-is
         (it is already in the captured state); every later checkout
-        rewinds in place — fully, or by dirty set when ``delta`` is on —
-        which is what makes templated jobs cheaper than factory
-        reconstruction.
+        rewinds in place by dirty set, which is what makes templated jobs
+        cheaper than factory reconstruction.
         """
         machine = self.build()
         if self._pristine:
             self._pristine = False
             return machine
         assert self._state is not None and self._versions is not None
-        if self.delta is False:
-            self._restore_full(machine)
-            return machine
         if not self.delta_capable:
-            self._restore_full(machine)
+            machine.restore_state(self._state)
+            self.restore_count += 1
+            self.full_restore_count += 1
+            self.last_dirty = set(TRACKED_SUBSYSTEMS)
             TELEMETRY.count("parallel.delta_fallbacks")
             return machine
 
@@ -165,28 +149,22 @@ class MachineTemplate:
         self.delta_restore_count += 1
         self.last_dirty = dirty
         self.dirty_subsystem_total += len(dirty)
-        if self.delta == "verify":
-            self._verify_clean(machine, dirty)
         return machine
 
-    def _restore_full(self, machine: Machine) -> None:
-        machine.restore_state(self._state)
-        self._versions = machine.subsystem_versions()
-        self.restore_count += 1
-        self.full_restore_count += 1
-        self.last_dirty = set(TRACKED_SUBSYSTEMS)
-
-    def _verify_clean(self, machine: Machine, dirty: Set[str]) -> None:
-        """Prove that subsystems the delta skipped match the template.
+    def verify_clean(self) -> None:
+        """Prove that the subsystems the last checkout skipped match the
+        template (the ``template="verify"`` cross-check).
 
         Compares live subsystem snapshots against the captured state with
         ``==`` (not pickled bytes: process/handle snapshots hold live
         objects whose byte form is not stable, but tracked subsystem
-        snapshots are plain value containers).
+        snapshots are plain value containers). A mutation that bypassed
+        its ``mutations`` counter is exactly what this catches.
         """
+        machine = self.build()
         assert self._state is not None
         diverged = [name for name in TRACKED_SUBSYSTEMS
-                    if name not in dirty
+                    if name not in self.last_dirty
                     and getattr(machine, name).snapshot() != self._state[name]]
         if diverged:
             raise TemplateParityError(

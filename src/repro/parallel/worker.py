@@ -32,14 +32,16 @@ from . import shared
 from .envelope import (ChunkHeader, PairEnvelope, SweepEntry, SweepError,
                        build_envelope, detach_outcome, encode_chunk)
 from .factories import FactorySpec, MachineFactory, resolve_machine_factory
-from .template import TEMPLATE_PARITY_ERROR, DeltaMode, MachineTemplate
+from .template import TEMPLATE_PARITY_ERROR, MachineTemplate
 
 #: Per-process worker state: the ``"fixtures"`` a pool initializer installed.
 _STATE: Dict[str, Any] = {}
 
-#: ``template`` argument values accepted by :func:`initialize_worker` and
-#: :class:`~repro.parallel.sweep.ParallelSweep`.
+#: ``template`` argument values accepted by :func:`initialize_worker`,
+#: :class:`~repro.parallel.sweep.ParallelSweep` and
+#: :class:`~repro.fleet.service.FleetService`.
 TemplateMode = Union[bool, str]
+TEMPLATE_MODES = (True, False, "verify")
 
 
 @dataclasses.dataclass
@@ -121,7 +123,6 @@ def acquire_fixtures(factory_spec: FactorySpec,
                      db_snapshot: Union[DatabaseSnapshot, bytes],
                      config: Optional[ScarecrowConfig],
                      telemetry: bool, template: TemplateMode,
-                     delta: DeltaMode,
                      shared_keys: Optional[shared.SharedKeys]
                      ) -> WorkerFixtures:
     """Build one worker's fixtures: database, machine source, provenance.
@@ -133,9 +134,10 @@ def acquire_fixtures(factory_spec: FactorySpec,
     ``template`` selects the machine source: ``False`` rebuilds from the
     factory on every run, ``True`` builds a :class:`MachineTemplate` once
     here and rewinds it between runs, and ``"verify"`` templates *and*
-    re-runs every sample on a fresh machine, flagging any divergence as a
-    ``TemplateParityError`` entry. ``delta`` is handed to the template
-    (dirty-set restores, full restores, or delta-verify).
+    checks every checkout (:meth:`MachineTemplate.verify_clean`); the
+    sweep also re-runs every sample on a fresh machine
+    (:attr:`WorkerFixtures.verify`). Either check flags a divergence as
+    a ``TemplateParityError``.
 
     ``shared_keys`` names payloads the parent published to the
     fork-shared registry (:func:`repro.parallel.shared.publish_fixtures`)
@@ -156,13 +158,16 @@ def acquire_fixtures(factory_spec: FactorySpec,
     factory = resolve_machine_factory(factory_spec)
     machine_template: Optional[MachineTemplate] = None
     shared_template = False
+    source = factory
     if template:
-        machine_template = shared.lookup_template(keys.template, delta)
+        machine_template = shared.lookup_template(keys.template)
         shared_template = machine_template is not None
         if machine_template is None:
-            machine_template = MachineTemplate(factory, delta=delta)
+            machine_template = MachineTemplate(factory)
             _build_template(machine_template)
-    source = factory if machine_template is None else machine_template.checkout
+        source = machine_template.checkout
+        if template == "verify":
+            source = _verified_checkout(machine_template)
     return WorkerFixtures(
         database=database, config=config,
         machine_source=_timed_factory(source), fresh_factory=factory,
@@ -175,13 +180,12 @@ def initialize_worker(factory_spec: FactorySpec,
                       config: Optional[ScarecrowConfig],
                       telemetry: bool = False,
                       template: TemplateMode = False,
-                      delta: DeltaMode = True,
                       shared_keys: Optional[shared.SharedKeys] = None
                       ) -> WorkerFixtures:
     """Pool/serial initializer: install (and return) the sweep fixtures
     :func:`acquire_fixtures` builds."""
     return install_fixtures(acquire_fixtures(
-        factory_spec, db_snapshot, config, telemetry, template, delta,
+        factory_spec, db_snapshot, config, telemetry, template,
         shared_keys))
 
 
@@ -194,6 +198,15 @@ def install_fixtures(fixtures: Any) -> Any:
 def installed_fixtures() -> Any:
     """This process's pool-worker fixtures (None before any initializer)."""
     return _STATE.get("fixtures")
+
+
+def _verified_checkout(machine_template: MachineTemplate) -> MachineFactory:
+    """A checkout that cross-checks the skipped subsystems before use."""
+    def checkout() -> Any:
+        machine = machine_template.checkout()
+        machine_template.verify_clean()
+        return machine
+    return checkout
 
 
 def _build_template(machine_template: MachineTemplate) -> None:

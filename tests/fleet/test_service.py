@@ -82,7 +82,7 @@ class TestServiceValidation:
     @pytest.mark.parametrize("kwargs", [
         {"endpoints": 0}, {"events": -1}, {"max_workers": 0},
         {"queue_limit": 0}, {"chunksize": 0}, {"max_retries": -1},
-        {"resume": True},
+        {"resume": True}, {"template": "sometimes"},
     ])
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -3,10 +3,10 @@
 Two guarantees carry the zero-copy dispatch tentpole:
 
 * **Delta == full.** Whatever sequence of subsystem mutations a job
-  performs, a delta-restoring template must rewind the machine to a
-  state byte-identical (pickled ``snapshot_state``) to what a
-  full-restoring template produces — and to the captured template state
-  itself.
+  performs, a template's dirty-set restore must rewind the machine to a
+  state byte-identical (pickled ``snapshot_state``) to what a full
+  ``Machine.restore_state(captured_state)`` produces — and to the
+  captured template state itself.
 * **Shared == pickled.** A worker that inherited its database and
   template through the fork-shared registry must produce canonical sweep
   entries byte-identical to a worker that rebuilt everything from the
@@ -26,6 +26,7 @@ from repro.malware.corpus import build_malgene_corpus
 from repro.malware.families import FamilySpec
 from repro.parallel import MachineTemplate, canonical_entry
 from repro.parallel import shared as shared_registry
+from repro.parallel.factories import resolve_machine_factory
 from repro.parallel.template import TemplateParityError
 from repro.parallel.worker import (PairJob, execute_pair_job,
                                    initialize_worker, reset_worker)
@@ -34,6 +35,8 @@ from repro.winsim.machine import TRACKED_SUBSYSTEMS
 pytestmark = pytest.mark.delta
 
 FACTORY = "bare-metal-light"
+
+_DB_BLOB = DeceptionDatabase().snapshot_bytes()
 
 #: One mutating operation per tracked subsystem, parameterised by a small
 #: integer so repeated picks stay distinct.
@@ -62,6 +65,13 @@ def _apply(machine, ops):
         MUTATORS[name](machine, n)
 
 
+def _full_restore_reference():
+    """A fresh factory machine and its captured state: the reference a
+    dirty-set restore is held to is ``machine.restore_state(state)``."""
+    machine = resolve_machine_factory(FACTORY)()
+    return machine, machine.snapshot_state()
+
+
 class TestDeltaEqualsFull:
     @settings(max_examples=25, deadline=None)
     @given(rounds=st.lists(op_sequences, min_size=1, max_size=3))
@@ -69,24 +79,23 @@ class TestDeltaEqualsFull:
         """Any mutation mix, over several checkout rounds: the
         delta-restored machine and the full-restored machine end up
         byte-identical — to each other and to the captured template."""
-        delta_t = MachineTemplate(FACTORY, delta=True)
-        full_t = MachineTemplate(FACTORY, delta=False)
+        delta_t = MachineTemplate(FACTORY)
+        full_m, captured = _full_restore_reference()
         delta_m = delta_t.checkout()
-        full_m = full_t.checkout()
         reference = pickle.dumps(delta_m.snapshot_state())
         assert pickle.dumps(full_m.snapshot_state()) == reference
         for ops in rounds:
             _apply(delta_m, ops)
             _apply(full_m, ops)
             assert delta_t.checkout() is delta_m
-            assert full_t.checkout() is full_m
+            full_m.restore_state(captured)
             assert pickle.dumps(delta_m.snapshot_state()) == reference
             assert pickle.dumps(full_m.snapshot_state()) == reference
 
     @settings(max_examples=25, deadline=None)
     @given(ops=op_sequences)
     def test_dirty_set_is_exactly_what_was_touched(self, ops):
-        template = MachineTemplate(FACTORY, delta=True)
+        template = MachineTemplate(FACTORY)
         machine = template.checkout()
         # Settle the pristine fast-path so last_dirty reflects `ops` only.
         template.checkout()
@@ -97,23 +106,52 @@ class TestDeltaEqualsFull:
     @settings(max_examples=10, deadline=None)
     @given(ops=op_sequences)
     def test_verify_mode_accepts_honest_deltas(self, ops):
-        """delta="verify" re-proves every skipped subsystem; tracked
+        """verify_clean re-proves every skipped subsystem; tracked
         mutations never trip it because the counters never lie."""
-        template = MachineTemplate(FACTORY, delta="verify")
+        template = MachineTemplate(FACTORY)
         machine = template.checkout()
         _apply(machine, ops)
-        template.checkout()  # must not raise TemplateParityError
+        template.checkout()
+        template.verify_clean()  # must not raise TemplateParityError
 
     def test_verify_mode_catches_counterless_mutation(self):
         """A mutation that bypasses the generation counters is exactly
-        the lie delta="verify" exists to catch."""
-        template = MachineTemplate(FACTORY, delta="verify")
-        machine = template.checkout()
-        template.checkout()
-        # Sneak past the counter: mutate internals directly.
-        machine.mutexes._mutexes["sneaky"] = "sneaky"
+        the lie template="verify" exists to catch."""
+        fixtures = initialize_worker(FACTORY, _DB_BLOB, None,
+                                     template="verify")
+        try:
+            machine = fixtures.machine_source()
+            assert fixtures.machine_source() is machine
+            # Sneak past the counter: mutate internals directly.
+            machine.mutexes._mutexes["sneaky"] = "sneaky"
+            with pytest.raises(TemplateParityError, match="mutexes"):
+                fixtures.machine_source()
+        finally:
+            reset_worker()
+
+    @pytest.mark.fleet
+    def test_fleet_verify_mode_surfaces_counterless_mutation(
+            self, monkeypatch):
+        """The fleet's template="verify" runs the same cross-check on
+        every endpoint checkout; plain templating does not notice."""
+        from repro.fleet import FleetService
+        from repro.fleet.endpoint import ProtectedEndpoint
+        close = ProtectedEndpoint.close
+
+        def sneaky_close(endpoint):
+            close(endpoint)
+            endpoint.machine.mutexes._mutexes["sneaky"] = "sneaky"
+        monkeypatch.setattr(ProtectedEndpoint, "close", sneaky_close)
+
+        def service(template):
+            # One-event batches: the first batch dirties only the
+            # filesystem, so the sneaked-in mutex survives its rewind.
+            return FleetService(endpoints=2, events=8, seed=7,
+                                queue_limit=1, machine_factory=FACTORY,
+                                template=template)
+        assert len(service(True).run().records) == 8
         with pytest.raises(TemplateParityError, match="mutexes"):
-            template.checkout()
+            service("verify").run()
 
 
 #: Registry operations for the path-granular journal: creates, value
@@ -166,17 +204,16 @@ class TestPathGranularDelta:
     @given(ops=st.lists(st.sampled_from(sorted(REG_OPS)),
                         min_size=1, max_size=10))
     def test_registry_splice_matches_full_rebuild(self, ops):
-        delta_t = MachineTemplate(FACTORY, delta=True)
-        full_t = MachineTemplate(FACTORY, delta=False)
+        delta_t = MachineTemplate(FACTORY)
+        full_m, captured = _full_restore_reference()
         delta_m = delta_t.checkout()
-        full_m = full_t.checkout()
         reference = pickle.dumps(delta_m.snapshot_state())
         for rounds in range(2):
             for n, name in enumerate(ops):
                 REG_OPS[name](delta_m.registry, n)
                 REG_OPS[name](full_m.registry, n)
             delta_t.checkout()
-            full_t.checkout()
+            full_m.restore_state(captured)
             assert pickle.dumps(delta_m.snapshot_state()) == reference
             assert pickle.dumps(full_m.snapshot_state()) == reference
 
@@ -184,22 +221,21 @@ class TestPathGranularDelta:
     @given(ops=st.lists(st.sampled_from(sorted(FS_OPS)),
                         min_size=1, max_size=10))
     def test_filesystem_splice_matches_full_rebuild(self, ops):
-        delta_t = MachineTemplate(FACTORY, delta=True)
-        full_t = MachineTemplate(FACTORY, delta=False)
+        delta_t = MachineTemplate(FACTORY)
+        full_m, captured = _full_restore_reference()
         delta_m = delta_t.checkout()
-        full_m = full_t.checkout()
         reference = pickle.dumps(delta_m.snapshot_state())
         for rounds in range(2):
             for n, name in enumerate(ops):
                 FS_OPS[name](delta_m.filesystem, n)
                 FS_OPS[name](full_m.filesystem, n)
             delta_t.checkout()
-            full_t.checkout()
+            full_m.restore_state(captured)
             assert pickle.dumps(delta_m.snapshot_state()) == reference
             assert pickle.dumps(full_m.snapshot_state()) == reference
 
     def test_journal_overflow_degrades_to_full_rebuild(self):
-        template = MachineTemplate(FACTORY, delta=True)
+        template = MachineTemplate(FACTORY)
         machine = template.checkout()
         template.checkout()  # settle; journal now tracks from here
         reference = pickle.dumps(machine.snapshot_state())
@@ -216,7 +252,7 @@ class TestPathGranularDelta:
         """Splicing is only sound against the state the journal diverged
         from; restoring to a structurally-equal but different dict must
         take the full path."""
-        machine = MachineTemplate(FACTORY, delta=True).checkout()
+        machine = MachineTemplate(FACTORY).checkout()
         foreign = machine.snapshot_state()
         machine.registry.set_value(
             "HKEY_CURRENT_USER\\Software\\Foreign", "v", 1)
@@ -261,24 +297,23 @@ class TestProcessTableDelta:
     @given(ops=st.lists(st.sampled_from(sorted(PROC_OPS)),
                         min_size=1, max_size=10))
     def test_pid_splice_matches_full_rebuild(self, ops):
-        delta_t = MachineTemplate(FACTORY, delta=True)
-        full_t = MachineTemplate(FACTORY, delta=False)
+        delta_t = MachineTemplate(FACTORY)
+        full_m, captured = _full_restore_reference()
         delta_m = delta_t.checkout()
-        full_m = full_t.checkout()
         reference = pickle.dumps(delta_m.snapshot_state())
         for _ in range(2):
             for n, name in enumerate(ops):
                 PROC_OPS[name](delta_m, n)
                 PROC_OPS[name](full_m, n)
             delta_t.checkout()
-            full_t.checkout()
+            full_m.restore_state(captured)
             assert pickle.dumps(delta_m.snapshot_state()) == reference
             assert pickle.dumps(full_m.snapshot_state()) == reference
 
     def test_splice_heals_parent_identity(self):
         """A clean child whose parent pid was reloaded must point at the
         *new* parent object, or ancestor walks silently go stale."""
-        template = MachineTemplate(FACTORY, delta=True)
+        template = MachineTemplate(FACTORY)
         machine = template.checkout()
         template.checkout()  # settle; journal now tracks from here
         explorer = machine.explorer
@@ -295,7 +330,7 @@ class TestProcessTableDelta:
         assert not machine.processes.find_by_name("leaf.exe")
 
     def test_pid_journal_overflow_degrades_to_full_rebuild(self):
-        template = MachineTemplate(FACTORY, delta=True)
+        template = MachineTemplate(FACTORY)
         machine = template.checkout()
         template.checkout()  # settle; journal now tracks from here
         reference = pickle.dumps(machine.snapshot_state())
@@ -311,8 +346,6 @@ class TestProcessTableDelta:
 SPEC = FamilySpec("Mixed", (("spawn_idp", 1), ("term_vm", 1),
                             ("sleep_sbx", 1), ("fail_peb", 1)))
 
-_DB_BLOB = DeceptionDatabase().snapshot_bytes()
-
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -323,7 +356,7 @@ def corpus():
 
 def _entries_with_keys(corpus, indices, keys):
     initialize_worker(FACTORY, _DB_BLOB, None, telemetry=False,
-                      template=True, delta=True, shared_keys=keys)
+                      template=True, shared_keys=keys)
     try:
         return [pickle.dumps(canonical_entry(
             execute_pair_job(PairJob(i, corpus[i])))) for i in indices]
@@ -345,10 +378,9 @@ class TestSharedEqualsPickled:
             db_key = shared_registry.publish_database(
                 _DB_BLOB, FrozenDeceptionDatabase.from_snapshot(
                     pickle.loads(_DB_BLOB)))
-            from repro.parallel.factories import resolve_machine_factory
             factory = resolve_machine_factory(FACTORY)
-            t_key = shared_registry.template_key(FACTORY, id(factory), True)
-            prebuilt = MachineTemplate(factory, delta=True)
+            t_key = shared_registry.template_key(FACTORY, id(factory))
+            prebuilt = MachineTemplate(factory)
             prebuilt.build()
             shared_registry.publish_template(t_key, prebuilt)
             keys = shared_registry.SharedKeys(database=db_key,

@@ -177,7 +177,7 @@ class TestCorruptedSharedRegistry:
         initializer = (initialize_worker if runtime == "sweep"
                        else initialize_fleet_worker)
         initializer("bare-metal-light", blob, None, telemetry=False,
-                    template=True, delta=True, shared_keys=keys)
+                    template=True, shared_keys=keys)
         try:
             if runtime == "sweep":
                 samples = build_malgene_corpus([SPEC])
@@ -252,7 +252,7 @@ class TestUntrackedSubsystemFallback:
             machine.snapshot_state = snapshot_state
             return machine
 
-        template = MachineTemplate(weird_factory, delta=True)
+        template = MachineTemplate(weird_factory)
         template.build()
         assert not template.delta_capable
         machine = template.checkout()

@@ -47,7 +47,7 @@ def test_zero_copy_pool_vs_templated_serial():
     samples = build_malgene_corpus([GUARD_SPEC])
 
     serial = _sweep(samples, max_workers=1, template=True)
-    pooled = _sweep(samples, max_workers=2, template=True, delta=True)
+    pooled = _sweep(samples, max_workers=2, template=True)
     assert pooled.used_process_pool
     assert [pickle.dumps(e) for e in pooled.canonical_entries()] == \
         [pickle.dumps(e) for e in serial.canonical_entries()]

@@ -107,6 +107,18 @@ class TestSweepCommand:
         assert main(["sweep", "--families", "Selfdel"] + argv) == 2
         assert "must be >=" in capsys.readouterr().err
 
+    def test_sweep_verify_template_runs_both_checks(self, capsys):
+        assert main(["sweep", "--families", "Selfdel", "--limit", "2",
+                     "--verify-template"]) == 0
+        assert "template=verify" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep", "fleet"])
+    @pytest.mark.parametrize("flag", ["--no-template", "--no-delta",
+                                      "--verify-delta"])
+    def test_removed_execution_flags_are_rejected(self, command, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, flag])
+
 
 class TestSweepErrorExit:
     def _result_with_error(self):
@@ -272,6 +284,14 @@ class TestFleetCommand:
     def test_fleet_rejects_bad_numbers(self, capsys):
         assert main(["fleet", "--endpoints", "0"]) == 2
         assert "must be >=" in capsys.readouterr().err
+
+    def test_fleet_verify_template_matches_plain_run(self, capsys):
+        assert main(self.ARGS) == 0
+        reference = capsys.readouterr().out
+        assert main(self.ARGS + ["--verify-template"]) == 0
+        verified = capsys.readouterr().out
+        report = lambda text: text.split("wall time:")[0]  # noqa: E731
+        assert report(verified) == report(reference)
 
     def test_fleet_interrupt_then_resume(self, tmp_path, capsys):
         checkpoint = str(tmp_path / "fleet.ckpt")
