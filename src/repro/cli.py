@@ -183,9 +183,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.limit < 0:
         print("--limit must be >= 0", file=sys.stderr)
         return 2
-    if args.chunksize is not None and args.chunksize < 1:
-        print("--chunksize must be >= 1", file=sys.stderr)
-        return 2
     try:
         resolve_machine_factory(args.factory)
     except KeyError as exc:
@@ -208,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     template = "verify" if args.verify_template else True
     sweep = ParallelSweep(max_workers=args.workers,
                           machine_factory=args.factory,
-                          template=template, chunksize=args.chunksize)
+                          template=template)
     result = sweep.run(samples)
     summary = summarize(result.comparisons)
 
@@ -283,7 +280,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             endpoints=args.endpoints, events=args.events, seed=args.seed,
             machine_factory=args.factory, max_workers=args.jobs,
             shards=args.shards,
-            queue_limit=args.queue_limit, chunksize=args.chunksize,
+            queue_limit=args.queue_limit,
             template="verify" if args.verify_template else True,
             checkpoint_path=args.checkpoint,
             resume=args.resume)
@@ -686,8 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-run every sample on a fresh machine and "
                             "prove every template restore skipped only "
                             "clean subsystems; fail on any divergence")
-    sweep.add_argument("--chunksize", type=int, default=None,
-                       help="jobs per pool submission (default: auto)")
     _add_telemetry_option(sweep)
     fleet = subparsers.add_parser(
         "fleet", help="multi-endpoint protection service (docs/FLEET.md)")
@@ -707,8 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine factory endpoints are stamped from")
     fleet.add_argument("--queue-limit", type=int, default=32,
                        help="admission-queue bound (backpressure)")
-    fleet.add_argument("--chunksize", type=int, default=None,
-                       help="batches per pool submission (default: auto)")
     fleet.add_argument("--verify-template", action="store_true",
                        help="prove every template restore skipped only "
                             "clean subsystems; fail on any divergence")

@@ -18,15 +18,17 @@ make_executor` with a fleet-specific initializer). The moving parts:
   barrier), each with its own checkpoint file and partial rollup. The
   global report merges per-shard :class:`~repro.fleet.report.
   ShardRollup` partials — byte-identical for any ``shards`` value.
-* **Dispatch** — each shard round's batches ship in auto-sized chunks
-  (:func:`~repro.parallel.sweep.auto_chunksize`); each worker stamps its
-  endpoint machine from a :class:`~repro.parallel.template.
-  MachineTemplate` instead of rebuilding it per batch.
+* **Dispatch** — each shard is one lane of the
+  :func:`~repro.parallel.executor.dispatch` loop; its rounds' batches
+  ship in auto-sized chunks (:func:`~repro.parallel.sweep.
+  auto_chunksize`); each worker stamps its endpoint machine from a
+  :class:`~repro.parallel.template.MachineTemplate` instead of
+  rebuilding it per batch.
 * **Degradation** — a per-event retry budget inside the worker turns
   exhausted failures into structured :func:`~repro.fleet.endpoint.
-  failed_event_record` entries; a chunk whose *submission* fails (poisoned
-  pool, unpicklable payload) reruns in-process and the run reports
-  ``used_process_pool=False`` honestly.
+  failed_event_record` entries; a chunk whose future raises (poisoned
+  pool, unpicklable payload) or whose envelope fails to decode reruns
+  in-process and the run reports ``used_process_pool=False`` honestly.
 * **Checkpointing** — after every shard round the shard's completed
   batches are written to its JSON checkpoint (atomic ``os.replace``); a
   resumed run validates the configuration fingerprint (which includes
@@ -43,7 +45,6 @@ wall-time belongs to callers (the CLI).
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
 import pickle
@@ -55,8 +56,11 @@ from ..core.profiles import ScarecrowConfig
 from ..malware.benign import BenignProgram, build_cnet_corpus
 from ..malware.sample import EvasiveSample
 from ..parallel import shared
-from ..parallel.envelope import ChunkHeader, decode_chunk, encode_chunk
-from ..parallel.executor import pool_scope
+from ..parallel.envelope import (ChunkHeader, decode_chunk, encode_chunk,
+                                zero_copy_used)
+from ..parallel.executor import dispatch, pool_scope, rerun_in_process
+# Bound here too so perfbench's span table can resolve it by this name.
+from ..parallel.executor import wait_any as _wait_any  # noqa: F401
 from ..parallel.factories import FactorySpec
 from ..parallel.sweep import auto_chunksize, make_executor
 from ..parallel.worker import (TEMPLATE_MODES, TemplateMode,
@@ -396,7 +400,6 @@ class FleetService:
                  max_workers: int = 1,
                  shards: int = 1,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                 chunksize: Optional[int] = None,
                  max_retries: int = 1,
                  telemetry: Optional[bool] = None,
                  template: TemplateMode = True,
@@ -413,8 +416,6 @@ class FleetService:
             raise ValueError("shards must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if resume and not checkpoint_path:
@@ -436,7 +437,6 @@ class FleetService:
         #: global rollup.
         self.shards = shards
         self.queue_limit = queue_limit
-        self.chunksize = chunksize
         self.max_retries = max_retries
         self.telemetry = telemetry
         #: Machine-reuse mode, as for the sweep, except that "verify"
@@ -453,7 +453,6 @@ class FleetService:
         #: shard_records, shard_index)``, ``fingerprint()`` and
         #: ``summary()``.
         self.version_router = version_router
-        self._local_ready = False
 
     # -- configuration identity ----------------------------------------------
 
@@ -462,7 +461,7 @@ class FleetService:
 
         Everything that changes the event stream, its outcomes or the
         checkpoint layout is in here; execution shape (workers,
-        chunksize, templating) is not — those are free to differ between
+        templating) is not — those are free to differ between
         the interrupted run and the resume because the results are
         identical by construction. ``shards`` IS included: it determines
         which endpoints a shard's checkpoint file covers.
@@ -537,7 +536,6 @@ class FleetService:
         chunks_run = 0
         headers: List[ChunkHeader] = []
         used_pool = False
-        self._local_ready = False
         prior_enabled = TELEMETRY.enabled
         try:
             if any(shard.has_pending() for shard in shards):
@@ -573,9 +571,7 @@ class FleetService:
             degraded_chunks=degraded,
             used_process_pool=used_pool and degraded == 0 and new_rounds > 0,
             completed=all(not shard.has_pending() for shard in shards),
-            shared_state_used=bool(headers) and all(
-                h.shared_database and (h.shared_template or not self.template)
-                for h in headers),
+            shared_state_used=zero_copy_used(headers, self.template),
             chunk_headers=headers,
             shards=self.shards,
             shard_rounds_total=sum(len(shard.rounds) for shard in shards),
@@ -631,135 +627,54 @@ class FleetService:
     def _dispatch(self, executor: Any, shards: Sequence[FleetShard],
                   initargs: tuple, stop_after_rounds: Optional[int]
                   ) -> Tuple[int, int, List[ChunkHeader]]:
-        """Pipelined shard dispatch over one shared executor.
+        """Pipelined shard dispatch: one :func:`~repro.parallel.executor.
+        dispatch` lane per shard, over one shared executor.
 
-        Each shard keeps at most one round in flight; a shard's next
-        round submits the moment its previous round lands, independent
-        of the other shards' progress — the global per-round barrier the
-        monolithic service had is gone. Between landings the parent
-        sleeps in :func:`_wait_any` until a whole round is done, so it
-        leaves the cores to the pool workers. ``stop_after_rounds`` caps
-        how many shard-rounds *start*; in-flight rounds always finish (and
+        A shard's next round submits the moment its previous round lands,
+        independent of the other shards' progress — there is no global
+        per-round barrier. ``stop_after_rounds`` caps how many
+        shard-rounds *start*; in-flight rounds always finish (and
         checkpoint) before returning.
         """
         started = 0
-        chunks_run = 0
-        degraded = 0
         headers: List[ChunkHeader] = []
-        inflight: Dict[int, Tuple[List[FleetChunk], List[Any]]] = {}
-        while True:
-            for shard in shards:
-                if shard.index in inflight or not shard.has_pending():
-                    continue
-                if stop_after_rounds is not None and \
-                        started >= stop_after_rounds:
-                    continue
-                round_jobs: Sequence[BatchJob] = shard.peek_round()
-                if self.version_router is not None:
-                    # Stamped at dispatch time, from state that is a pure
-                    # function of the shard's *completed* records: each
-                    # shard keeps one round in flight and its rounds land
-                    # in order, so serial/pooled and fresh/resumed runs
-                    # see identical histories here.
-                    round_jobs = self.version_router.assign_round(
-                        round_jobs, shard.peek_global_index(),
-                        shard.records(), shard.index)
-                chunks = self._make_chunks(round_jobs)
-                futures = [executor.submit(execute_fleet_chunk, chunk)
-                           for chunk in chunks]
-                inflight[shard.index] = (chunks, futures)
-                started += 1
-            if not inflight:
-                break
-            _wait_any([futures for _, futures in inflight.values()])
-            for index in sorted(inflight):
-                chunks, futures = inflight[index]
-                if not all(_future_done(future) for future in futures):
-                    continue
-                del inflight[index]
-                results, round_degraded, round_headers = \
-                    self._collect_round(chunks, futures, initargs)
-                chunks_run += len(chunks)
-                degraded += round_degraded
-                headers.extend(round_headers)
-                shards[index].finish_round(results, len(chunks),
-                                           round_degraded)
+
+        def next_round(lane: int) -> Optional[List[FleetChunk]]:
+            nonlocal started
+            shard = shards[lane]
+            if not shard.has_pending() or (
+                    stop_after_rounds is not None and
+                    started >= stop_after_rounds):
+                return None
+            round_jobs: Sequence[BatchJob] = shard.peek_round()
+            if self.version_router is not None:
+                # Stamped at dispatch time, from state that is a pure
+                # function of the shard's *completed* records: each shard
+                # keeps one round in flight and its rounds land in order,
+                # so serial/pooled and fresh/resumed runs see identical
+                # histories here.
+                round_jobs = self.version_router.assign_round(
+                    round_jobs, shard.peek_global_index(), shard.records(),
+                    shard.index)
+            started += 1
+            return self._make_chunks(round_jobs)
+
+        def finish_round(lane: int, decoded: List[Any],
+                         degraded: int) -> None:
+            headers.extend(header for _, header in decoded)
+            shards[lane].finish_round(
+                [batch for batches, _ in decoded for batch in batches],
+                len(decoded), degraded)
+
+        chunks_run, degraded = dispatch(
+            executor, next_round, finish_round, len(shards),
+            execute_fleet_chunk, decode_chunk,
+            rerun_in_process(execute_fleet_chunk, initialize_fleet_worker,
+                             initargs))
         return chunks_run, degraded, headers
 
     def _make_chunks(self, round_jobs: Sequence[BatchJob]
                      ) -> List[FleetChunk]:
-        size = self.chunksize or auto_chunksize(len(round_jobs),
-                                                self.max_workers)
+        size = auto_chunksize(len(round_jobs), self.max_workers)
         return [FleetChunk(tuple(round_jobs[i:i + size]))
                 for i in range(0, len(round_jobs), size)]
-
-    def _collect_round(self, chunks: Sequence[FleetChunk],
-                       futures: Sequence[Any], initargs: tuple
-                       ) -> Tuple[List[BatchResult], int, List[ChunkHeader]]:
-        """Decode one shard round's finished chunks, degrading on failure."""
-        results: List[BatchResult] = []
-        degraded = 0
-        headers: List[ChunkHeader] = []
-        for chunk, future in zip(chunks, futures):
-            try:
-                blob = future.result()
-                batches, header = decode_chunk(blob)
-            except Exception:
-                # Graceful degradation: a poisoned worker, an unpicklable
-                # surprise *or a corrupt chunk envelope* costs us the pool
-                # for this chunk, not the run.
-                batches, header = decode_chunk(
-                    self._run_chunk_in_process(chunk, initargs))
-                degraded += 1
-            results.extend(batches)
-            headers.append(header)
-        return results, degraded, headers
-
-    def _run_chunk_in_process(self, chunk: FleetChunk,
-                              initargs: tuple) -> bytes:
-        """Rerun a failed chunk in the parent, via the same code path.
-
-        The chunk round-trips through pickle first — exactly what the
-        pool submission would have done — so degraded results stay
-        byte-identical to what a healthy worker would have returned.
-        """
-        if not self._local_ready:
-            initialize_fleet_worker(*initargs)
-            self._local_ready = True
-        return execute_fleet_chunk(pickle.loads(pickle.dumps(chunk)))
-
-
-def _future_done(future: Any) -> bool:
-    """``future.done()``, treating futures without ``done`` as done.
-
-    Fault-injected or degenerate executors may hand back bare objects
-    whose only contract is ``result()``; counting them done routes them
-    straight to collection, where ``result()`` raising triggers the
-    in-process degradation path.
-    """
-    probe = getattr(future, "done", None)
-    return True if probe is None else bool(probe())
-
-
-def _wait_any(rounds: Sequence[Sequence[Any]]) -> None:
-    """Block until at least one in-flight round has fully landed.
-
-    ``rounds`` holds each in-flight shard round's futures. Returns at once
-    when some round is already done, which is always the case for serial
-    :class:`~repro.parallel.executor.ImmediateFuture` rounds. Otherwise
-    the parent sleeps in ``concurrent.futures.wait(FIRST_COMPLETED)`` on
-    only the futures not yet done, waking once per chunk completion
-    until a whole round has landed. Each future's ``done()`` is probed
-    once per call; later completions come from ``wait``'s done set, so
-    the parent never spins on a half-landed round. Futures that are not
-    done yet must be :class:`concurrent.futures.Future` objects, as pool
-    futures are.
-    """
-    pending = [[future for future in futures if not _future_done(future)]
-               for futures in rounds]
-    while pending and all(pending):
-        done, _ = concurrent.futures.wait(
-            [future for group in pending for future in group],
-            return_when=concurrent.futures.FIRST_COMPLETED)
-        pending = [[future for future in group if future not in done]
-                   for group in pending]

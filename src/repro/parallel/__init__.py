@@ -7,8 +7,11 @@ named factory — a :class:`MachineTemplate` rewinds it between jobs — plus
 a read-only snapshot of the shared deception database, and the results
 are reassembled in submission order — parallel output is byte-identical
 to the serial path (``template="verify"`` proves it per job). Jobs ship
-in auto-sized chunks to amortise pickle/IPC cost. Failures degrade to
-structured :class:`SweepError` entries; every outcome carries a
+in auto-sized chunks to amortise pickle/IPC cost, through
+:func:`~repro.parallel.executor.dispatch`, the completion-driven loop the
+fleet runs on too. A job that keeps failing becomes a structured
+:class:`SweepError` entry; a chunk whose future raises or whose envelope
+fails to decode reruns in-process. Every outcome carries a
 :class:`SweepStats` record.
 """
 
@@ -17,7 +20,7 @@ from .envelope import (ChunkHeader, EnvelopeError, PairEnvelope, SweepEntry,
                        canonical_entry, decode_chunk, decode_record,
                        detach_outcome, encode_chunk, encode_record)
 from .executor import (ImmediateFuture, SerialExecutor, fork_available,
-                       pool_context, should_use_process_pool)
+                       pool_context)
 from .factories import (available_factories, register_machine_factory,
                         resolve_machine_factory)
 from .sweep import (DEFAULT_FACTORY, ParallelSweep, SweepExecutionError,
@@ -46,5 +49,4 @@ __all__ = [
     "initialize_worker", "make_executor", "pool_context",
     "register_machine_factory", "resolve_machine_factory", "run_pair_job",
     "run_submissions", "run_tasks", "run_tasks_or_raise",
-    "should_use_process_pool",
 ]

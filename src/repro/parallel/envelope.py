@@ -21,9 +21,8 @@ submitted jobs. Compression stays because it was measured: a sweep
 pair's frame is ~4.4 KB raw and ~1.6 KB compressed, and without it the
 pooled full-corpus sweep's peak RSS rose from 54.5 to 58.0 MB while its
 throughput won only 2 of 5 alternating pairs. Corruption anywhere (bad magic, wrong version, crc
-mismatch, type-tag mismatch) raises :class:`EnvelopeError` at decode;
-the sweep degrades the affected chunk to per-job errors instead of
-aborting.
+mismatch, type-tag mismatch) raises :class:`EnvelopeError` at decode,
+and the affected chunk reruns in-process instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import os
 import pickle
 import struct
 import zlib
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..telemetry.snapshot import MetricsSnapshot
 
@@ -193,6 +192,17 @@ class ChunkHeader:
     full_restores: int = 0
     #: Total dirty-subsystem count across this chunk's delta restores.
     dirty_subsystems: int = 0
+
+
+def zero_copy_used(headers: Sequence[ChunkHeader], template: object) -> bool:
+    """True when every chunk's worker ran on the fork-inherited database,
+    and on the fork-inherited template too when ``template`` is on.
+
+    No chunks means nothing was observed, so False.
+    """
+    return bool(headers) and all(
+        header.shared_database and (header.shared_template or not template)
+        for header in headers)
 
 
 def encode_record(record: object) -> bytes:

@@ -11,16 +11,20 @@ picklable by construction. ``max_workers=1`` gets :class:`SerialExecutor`,
 an in-process stand-in with the same ``submit``/``shutdown`` surface, so
 callers never branch. Both the sweep and the fleet hold their executor
 in :func:`pool_scope`, so an interrupted run cancels its pool instead of
-waiting for it.
+waiting for it, and drive it with :func:`dispatch`, the one dispatch
+loop: a *lane* (a fleet shard, or one sweep chunk) keeps one round in
+flight, and a lost submission reruns in-process.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import multiprocessing
 import pickle
 import warnings
-from typing import Any, Callable, Iterator, Optional
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 #: Seconds :func:`pool_scope` waits for a terminated worker to exit
 #: before killing it.
@@ -111,15 +115,6 @@ def pool_context() -> "multiprocessing.context.BaseContext":
     return context
 
 
-def should_use_process_pool(max_workers: int) -> bool:
-    """True when a real process pool should serve this worker count.
-
-    Platforms without ``fork`` no longer force the serial path — they get
-    the default start method via :func:`pool_context` instead.
-    """
-    return max_workers > 1
-
-
 @contextlib.contextmanager
 def pool_scope(executor: Any) -> Iterator[Any]:
     """Hold ``executor`` for one run; shut it down however the run ends.
@@ -148,3 +143,101 @@ def pool_scope(executor: Any) -> Iterator[Any]:
                     process.kill()
                     process.join()
             raise
+
+
+def future_done(future: Any) -> bool:
+    """``future.done()``; a bare future-alike with only ``result()`` (a
+    fault-injected executor's) counts as done, so collection reruns it."""
+    probe = getattr(future, "done", None)
+    return True if probe is None else bool(probe())
+
+
+def wait_any(rounds: Sequence[Sequence[Any]]) -> None:
+    """Block until at least one in-flight round has fully landed.
+
+    Returns at once when some round is already done (always, for serial
+    :class:`ImmediateFuture` rounds). Otherwise the parent sleeps in
+    ``concurrent.futures.wait(FIRST_COMPLETED)`` on the futures not yet
+    done, waking once per completion. Each ``done()`` is probed once per
+    call, so the parent never spins on a half-landed round.
+    """
+    pending = [[future for future in futures if not future_done(future)]
+               for futures in rounds]
+    while pending and all(pending):
+        done, _ = concurrent.futures.wait(
+            [future for group in pending for future in group],
+            return_when=concurrent.futures.FIRST_COMPLETED)
+        pending = [[future for future in group if future not in done]
+                   for group in pending]
+
+
+def rerun_in_process(worker_fn: Callable[[Any], Any],
+                     initializer: Optional[Callable[..., Any]],
+                     initargs: tuple) -> Callable[[Any], Any]:
+    """A rerun for :func:`dispatch`: ``initializer(*initargs)`` once, then
+    ``worker_fn`` on the submission. Submission and result round-trip
+    through pickle as the pool's pipes would, so the result is
+    byte-identical to a healthy worker's."""
+    ready: List[bool] = []
+
+    def rerun(submission: Any) -> Any:
+        if not ready:
+            if initializer is not None:
+                initializer(*initargs)
+            ready.append(True)
+        result = worker_fn(pickle.loads(pickle.dumps(submission)))
+        return pickle.loads(pickle.dumps(result))
+    return rerun
+
+
+def dispatch(executor: Any,
+             next_round: Callable[[int], Optional[Sequence[Any]]],
+             finish_round: Callable[[int, List[Any], int], None],
+             lanes: int, worker_fn: Callable[[Any], Any],
+             decode: Callable[[Any], Any],
+             rerun: Callable[[Any], Any]) -> Tuple[int, int]:
+    """Completion-driven dispatch; returns (submissions run, degraded).
+
+    Each lane keeps at most one round in flight. ``next_round(lane)``
+    gives the lane's next round of submissions, or ``None``, which
+    retires the lane; lanes are asked in index order. When a round has
+    fully landed, each result is ``decode``d and ``finish_round(lane,
+    decoded, degraded)`` runs. A submission whose future raises or whose
+    result fails to decode reruns in-process, ``decode(rerun(submission))``,
+    and counts as degraded: a lost chunk costs the pool, not the run.
+    """
+    active = list(range(lanes))
+    inflight: Dict[int, Tuple[Sequence[Any], List[Any]]] = {}
+    submitted = 0
+    degraded = 0
+    while True:
+        for lane in list(active):
+            if lane in inflight:
+                continue
+            submissions = next_round(lane)
+            if submissions is None:
+                active.remove(lane)
+                continue
+            inflight[lane] = (submissions, [
+                executor.submit(worker_fn, submission)
+                for submission in submissions])
+        if not inflight:
+            return submitted, degraded
+        wait_any([futures for _, futures in inflight.values()])
+        for lane in sorted(inflight):
+            submissions, futures = inflight[lane]
+            if not all(future_done(future) for future in futures):
+                continue
+            del inflight[lane]
+            results: List[Any] = []
+            round_degraded = 0
+            for submission, future in zip(submissions, futures):
+                try:
+                    result = decode(future.result())
+                except Exception:
+                    result = decode(rerun(submission))
+                    round_degraded += 1
+                results.append(result)
+            submitted += len(submissions)
+            degraded += round_degraded
+            finish_round(lane, results, round_degraded)

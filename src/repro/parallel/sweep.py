@@ -3,10 +3,10 @@
 Shards ``(sample, config)`` pairs across a process pool (or the in-process
 fallback), reassembles results in submission order, and degrades
 gracefully: a sample whose execution keeps failing becomes a structured
-:class:`~repro.parallel.envelope.SweepError` entry instead of aborting the
-sweep. With one shared read-only deception database snapshot per pool and
-one templated (or fresh) machine per run, parallel output is
-byte-identical to the serial path.
+:class:`~repro.parallel.envelope.SweepError` entry, and a chunk the pool
+loses reruns in-process, as a fleet chunk does. With one shared read-only
+deception database snapshot per pool and one templated (or fresh) machine
+per run, parallel output is byte-identical to the serial path.
 
 Two cost levers make the pool actually beat the serial path:
 
@@ -16,8 +16,8 @@ Two cost levers make the pool actually beat the serial path:
   full environment build twice per sample.
 * **Chunked dispatch**: jobs ship to the pool in auto-sized chunks
   (:func:`auto_chunksize`, the ``ProcessPoolExecutor.map`` heuristic) so
-  submission pickling and IPC amortise across the chunk — results still
-  come back submission-ordered with per-job error isolation.
+  submission pickling and IPC amortise across the chunk; each chunk is
+  one :func:`~repro.parallel.executor.dispatch` lane.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import dataclasses
 import math
 import pickle
 import time
-import traceback
 import warnings
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.database import DeceptionDatabase
 from ..core.profiles import ScarecrowConfig
@@ -38,13 +37,14 @@ from ..telemetry.metrics import TELEMETRY
 from ..telemetry.snapshot import MetricsSnapshot
 from . import shared
 from .envelope import (ChunkHeader, PairEnvelope, SweepEntry, SweepError,
-                       SweepStats, canonical_entry, decode_chunk)
-from .executor import (SerialExecutor, pool_context, pool_scope,
-                       should_use_process_pool)
+                       SweepStats, canonical_entry, decode_chunk,
+                       zero_copy_used)
+from .executor import (SerialExecutor, dispatch, pool_context, pool_scope,
+                       rerun_in_process)
 from .factories import FactorySpec, resolve_machine_factory
 from .worker import (TEMPLATE_MODES, PairChunk, PairJob, TaskJob,
                      TaskResult, TemplateMode, execute_pair_chunk,
-                     execute_pair_job, execute_task_job, initialize_worker)
+                     execute_task_job, initialize_worker)
 
 #: Default machine factory — matches ``run_pair``'s historical default
 #: (:func:`repro.analysis.environments.build_bare_metal_sandbox`).
@@ -68,6 +68,8 @@ class SweepResult:
 
     entries: List[SweepEntry]
     max_workers: int
+    #: True only when a real process pool ran every chunk: a chunk that
+    #: reran in-process makes it False, as for the fleet.
     used_process_pool: bool
     wall_time_s: float
     #: True only when *every* result chunk reported that its worker ran on
@@ -75,7 +77,7 @@ class SweepResult:
     #: — an observed fact from :class:`ChunkHeader` provenance, never an
     #: assumption. Spawn platforms and corrupted registries report False.
     shared_state_used: bool = False
-    #: Per-chunk worker provenance, in completion-collection order.
+    #: Per-chunk worker provenance, in submission order.
     chunk_headers: List[ChunkHeader] = dataclasses.field(default_factory=list)
 
     def delta_restores(self) -> int:
@@ -159,12 +161,9 @@ class ParallelSweep:
                  config: Optional[ScarecrowConfig] = None,
                  max_retries: int = 1,
                  telemetry: Optional[bool] = None,
-                 template: TemplateMode = True,
-                 chunksize: Optional[int] = None) -> None:
+                 template: TemplateMode = True) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         if template not in TEMPLATE_MODES:
             raise ValueError(
                 f"template must be one of {TEMPLATE_MODES}, got {template!r}")
@@ -181,8 +180,6 @@ class ParallelSweep:
         #: templates, cross-checks every checkout's dirty set and proves
         #: byte-parity against a fresh-factory reference run per job.
         self.template = template
-        #: Jobs per pool submission; None = auto (see :func:`auto_chunksize`).
-        self.chunksize = chunksize
 
     def run(self, samples: Sequence[EvasiveSample]) -> SweepResult:
         """Execute every sample pair; results come back submission-ordered."""
@@ -195,8 +192,7 @@ class ParallelSweep:
         # repeated sweeps over one database skip re-serialization.
         snapshot_blob = database.snapshot_bytes()
         config = self.config
-        use_pool = should_use_process_pool(self.max_workers)
-        if use_pool:
+        if self.max_workers > 1:
             self._require_picklable_factory()
         else:
             # Replicate the pool's *submission* pipe: pool workers receive
@@ -211,33 +207,26 @@ class ParallelSweep:
         shared_keys = self._publish_shared(snapshot_blob)
         initargs = (self.machine_factory, snapshot_blob, config,
                     telemetry_on, self.template, shared_keys)
-        workers = self.max_workers if use_pool else 1
-        chunksize = self.chunksize or auto_chunksize(len(jobs), workers)
+        chunksize = auto_chunksize(len(jobs), self.max_workers)
         chunks = [PairChunk(jobs[i:i + chunksize])
                   for i in range(0, len(jobs), chunksize)]
-        headers: List[ChunkHeader] = []
-
-        def unwrap_chunk(blob: bytes) -> List[SweepEntry]:
-            chunk_entries, header = decode_chunk(blob)
-            headers.append(header)
-            return chunk_entries
-
         # On the serial path the initializer runs in *this* process and
         # flips the shared registry flag; restore it once the sweep ends.
         prior_enabled = TELEMETRY.enabled
         try:
-            entries, used_pool = run_submissions(chunks, execute_pair_chunk,
-                                           initargs, workers,
-                                           unwrap=unwrap_chunk)
+            decoded, degraded, used_pool = run_submissions(
+                chunks, execute_pair_chunk, initargs, self.max_workers,
+                decode=decode_chunk)
         finally:
             TELEMETRY.enabled = prior_enabled
-        shared_used = bool(headers) and all(
-            h.shared_database and (h.shared_template or not self.template)
-            for h in headers)
-        return SweepResult(entries=entries, max_workers=self.max_workers,
-                           used_process_pool=used_pool,
+        headers = [header for _, header in decoded]
+        return SweepResult(entries=[entry for chunk_entries, _ in decoded
+                                    for entry in chunk_entries],
+                           max_workers=self.max_workers,
+                           used_process_pool=used_pool and degraded == 0,
                            wall_time_s=time.perf_counter() - start,
-                           shared_state_used=shared_used,
+                           shared_state_used=zero_copy_used(
+                               headers, self.template),
                            chunk_headers=headers)
 
     def _publish_shared(self, snapshot_blob: bytes) -> shared.SharedKeys:
@@ -295,54 +284,34 @@ def make_executor(initargs: Optional[tuple], workers: int,
                           initargs=initargs or ()), False
 
 
-def run_submissions(jobs: Sequence[Any], worker_fn: Callable[[Any], Any],
+def run_submissions(submissions: Sequence[Any],
+                    worker_fn: Callable[[Any], Any],
                     initargs: Optional[tuple], workers: int,
-                    unwrap: Optional[Callable[[Any], List[Any]]] = None
-                    ) -> Tuple[List[Any], bool]:
-    """Submit jobs to the chosen executor; collect in submission order.
+                    decode: Callable[[Any], Any] = lambda result: result
+                    ) -> Tuple[List[Any], int, bool]:
+    """Run each submission (a :class:`PairChunk` or a :class:`TaskJob`) as
+    one :func:`~repro.parallel.executor.dispatch` lane; returns ``(decoded
+    results in submission order, degraded submissions, used_process_pool)``.
 
-    Returns ``(entries, used_process_pool)``. A submission may be a
-    :class:`PairChunk`, whose result ``unwrap`` flattens back into
-    individual entries. Executor-level failures (broken pool, unpicklable
-    payloads) *and* unwrap failures (a corrupt binary chunk envelope
-    raising :class:`~repro.parallel.envelope.EnvelopeError`) degrade to
-    per-job :class:`SweepError`/:class:`TaskResult` entries so one bad
-    job — or one bad chunk — cannot sink the sweep.
+    A lost submission reruns in-process, through the sweep's own
+    initializer when there are ``initargs``.
     """
+    initializer = initialize_worker if initargs else None
     executor, used_pool = make_executor(initargs, workers)
-    entries: List[Any] = []
+    landed: Dict[int, Any] = {}
+
+    def next_round(lane: int) -> Optional[Tuple[Any]]:
+        return None if lane in landed else (submissions[lane],)
+
+    def finish_round(lane: int, results: List[Any], _degraded: int) -> None:
+        landed[lane] = results[0]
+
     with pool_scope(executor):
-        futures = [executor.submit(worker_fn, job) for job in jobs]
-        for job, future in zip(jobs, futures):
-            try:
-                result = future.result()
-                unwrapped = (unwrap(result) if unwrap is not None
-                             else [result])
-            except Exception as exc:
-                entries.extend(_submission_failures(job, exc))
-                continue
-            entries.extend(unwrapped)
-    return entries, used_pool
-
-
-def _submission_failures(job: Any, exc: Exception) -> List[Any]:
-    """Executor-level failure entries: one per job inside the submission."""
-    if isinstance(job, PairChunk):
-        return [_executor_failure(chunk_job, exc) for chunk_job in job.jobs]
-    return [_executor_failure(job, exc)]
-
-
-def _executor_failure(job: Any, exc: Exception) -> Any:
-    """Wrap an executor-level failure for one job."""
-    error = SweepError(
-        index=job.index,
-        sample_md5=getattr(getattr(job, "sample", None), "md5",
-                           getattr(job, "label", "?")),
-        error_type=type(exc).__name__, message=str(exc),
-        traceback=traceback.format_exc(), worker_pid=-1, retry_count=0)
-    if isinstance(job, TaskJob):
-        return TaskResult(index=job.index, label=job.label, error=error)
-    return error
+        _, degraded = dispatch(
+            executor, next_round, finish_round, len(submissions), worker_fn,
+            decode, rerun_in_process(worker_fn, initializer, initargs or ()))
+    return [landed[lane] for lane in range(len(submissions))], degraded, \
+        used_pool
 
 
 # -- generic independent-task engine ------------------------------------------
@@ -361,9 +330,7 @@ def run_tasks(tasks: Sequence[TaskSpec], max_workers: int = 1,
     """
     jobs = [TaskJob(index, label, fn, tuple(args), max_retries)
             for index, (label, fn, args) in enumerate(tasks)]
-    workers = max_workers if should_use_process_pool(max_workers) else 1
-    results, _ = run_submissions(jobs, execute_task_job, None, workers)
-    return results
+    return run_submissions(jobs, execute_task_job, None, max_workers)[0]
 
 
 def run_tasks_or_raise(tasks: Sequence[TaskSpec], max_workers: int = 1,

@@ -1,4 +1,8 @@
-"""E8 overhead experiment module."""
+"""E8 overhead experiment module.
+
+The wall-clock bounds (worst ratio < 10x, launch < 10 ms) are gates in
+``benchmarks/bench_overhead.py``; tier-1 checks only the shape.
+"""
 
 import pytest
 
@@ -15,14 +19,6 @@ class TestOverhead:
         assert len(overhead.rows) == 5
         assert all(row.unhooked_us > 0 and row.hooked_us > 0
                    for row in overhead.rows)
-
-    def test_hook_chain_overhead_is_modest(self, overhead):
-        """The §III claim, at the scale that matters: routing through the
-        hook chain costs single-digit multipliers, not orders of magnitude."""
-        assert overhead.max_ratio() < 10
-
-    def test_launch_cost_sub_10ms(self, overhead):
-        assert overhead.launch_cost_us < 10_000
 
     def test_render(self, overhead):
         text = render_overhead(overhead)

@@ -81,7 +81,7 @@ class TestPlanRounds:
 class TestServiceValidation:
     @pytest.mark.parametrize("kwargs", [
         {"endpoints": 0}, {"events": -1}, {"max_workers": 0},
-        {"queue_limit": 0}, {"chunksize": 0}, {"max_retries": -1},
+        {"queue_limit": 0}, {"max_retries": -1},
         {"resume": True}, {"template": "sometimes"},
     ])
     def test_bad_configuration_rejected(self, kwargs):
@@ -216,7 +216,10 @@ class TestCompletionDrivenDispatch:
             "repro.fleet.service.make_executor",
             lambda initargs, workers, initializer:
                 (HoldingExecutor(initializer, initargs), True))
-        pooled = _service(max_workers=2, chunksize=1, **shape).run()
+        # One batch per chunk, so every round spans several chunks.
+        monkeypatch.setattr("repro.fleet.service.auto_chunksize",
+                            lambda n_jobs, workers: 1)
+        pooled = _service(max_workers=2, **shape).run()
         assert not held
         assert pooled.chunks > 0 and pooled.degraded_chunks == 0
         assert probes[0] <= 4 * pooled.chunks, (probes[0], pooled.chunks)
@@ -237,11 +240,10 @@ class TestCheckpointResume:
         assert _rollup(resumed) == _rollup(uninterrupted)
 
     def test_resume_may_change_execution_shape(self, tmp_path):
-        """Workers/chunksize are free to differ across the interruption."""
+        """Worker counts are free to differ across the interruption."""
         uninterrupted = _service(events=48).run()
-        _service(tmp_path, events=48, chunksize=1).run(stop_after_rounds=1)
-        resumed = _service(tmp_path, events=48, resume=True,
-                           chunksize=3).run()
+        _service(tmp_path, events=48, max_workers=2).run(stop_after_rounds=1)
+        resumed = _service(tmp_path, events=48, resume=True).run()
         assert _rollup(resumed) == _rollup(uninterrupted)
 
     def test_resume_of_a_finished_run_executes_nothing(self, tmp_path):

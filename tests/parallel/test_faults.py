@@ -3,17 +3,21 @@
 A sample whose ``run()`` raises becomes a structured
 :class:`~repro.parallel.SweepError` (sample id + traceback) while the rest
 of the corpus completes; a transient failure that succeeds on retry is
-recorded with ``retry_count == 1``.
+recorded with ``retry_count == 1``; a chunk the pool loses reruns
+in-process, exactly as a fleet chunk does.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.malware.corpus import build_malgene_corpus
 from repro.malware.families import FamilySpec
 from repro.malware.sample import EvasiveSample
-from repro.parallel import ParallelSweep, SweepError, SweepExecutionError
+from repro.parallel import (ImmediateFuture, ParallelSweep, SerialExecutor,
+                            SweepError, SweepExecutionError,
+                            initialize_worker, run_tasks)
 
 SPEC = FamilySpec("Mixed", (("term_vm", 2), ("sleep_sbx", 1)))
 
@@ -122,6 +126,66 @@ class TestRetry:
         result = ParallelSweep(max_workers=1, max_retries=0).run(samples)
         assert [e.sample_md5 for e in result.errors] == [samples[1].md5]
         assert result.errors[0].retry_count == 0
+
+
+class _PoisonedFuture:
+    def result(self):
+        raise RuntimeError("injected pool poisoning")
+
+
+class _PoisonedExecutor:
+    """Every submission's future raises."""
+
+    def submit(self, fn, *args):
+        return _PoisonedFuture()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+class _CorruptingExecutor(_PoisonedExecutor):
+    """Runs each chunk in-process, then flips its envelope's last byte."""
+
+    def __init__(self, initargs):
+        self.inner = SerialExecutor(initialize_worker, initargs)
+
+    def submit(self, fn, *args):
+        blob = self.inner.submit(fn, *args).result()
+        return ImmediateFuture(
+            lambda: blob[:-1] + bytes([blob[-1] ^ 0xFF]), ())
+
+
+class TestChunkDegradation:
+    """A chunk the pool loses reruns in-process: byte-identical entries,
+    and ``used_process_pool`` says the pool did not do the work."""
+
+    @pytest.mark.parametrize("make", [
+        lambda initargs: _PoisonedExecutor(), _CorruptingExecutor,
+    ], ids=["poisoned", "corrupting"])
+    def test_lost_chunks_rerun_in_process(self, monkeypatch, make):
+        samples = build_malgene_corpus([SPEC])
+        reference = ParallelSweep(max_workers=1).run(samples)
+        monkeypatch.setattr("repro.parallel.sweep.make_executor",
+                            lambda initargs, workers: (make(initargs), True))
+        degraded = ParallelSweep(max_workers=2).run(samples)
+        assert not degraded.used_process_pool
+        assert not degraded.errors
+        assert [pickle.dumps(e) for e in degraded.canonical_entries()] == \
+            [pickle.dumps(e) for e in reference.canonical_entries()]
+
+    def test_lost_tasks_rerun_in_process(self, monkeypatch):
+        tasks = [("a", divmod, (7, 3)), ("b", pow, (2, 10)),
+                 ("c", divmod, (9, 2))]
+        healthy = run_tasks(tasks)
+        monkeypatch.setattr("repro.parallel.sweep.make_executor",
+                            lambda *args: (_PoisonedExecutor(), True))
+        degraded = run_tasks(tasks, max_workers=2)
+        assert all(result.ok for result in degraded)
+        assert [r.value for r in degraded] == [r.value for r in healthy]
+        assert [r.label for r in degraded] == ["a", "b", "c"]
 
 
 # -- zero-copy faults: every shared-state shortcut must fail safe -------------

@@ -99,8 +99,6 @@ class TestSweepModesAgree:
     def test_invalid_template_mode_rejected(self):
         with pytest.raises(ValueError, match="template"):
             ParallelSweep(template="sometimes")
-        with pytest.raises(ValueError, match="chunksize"):
-            ParallelSweep(chunksize=0)
 
 
 _DRIFT = itertools.count()

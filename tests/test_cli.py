@@ -119,6 +119,11 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, flag])
 
+    @pytest.mark.parametrize("command", ["sweep", "fleet"])
+    def test_chunksize_flag_is_gone(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--chunksize", "4"])
+
 
 class TestSweepErrorExit:
     def _result_with_error(self):

@@ -2,7 +2,8 @@
 # CI gate: scarelint first (cheap, catches structural rot), then the
 # tier-1 test suite, then the perfbench self-tests, then the lint
 # wall-time budget, then the pool speed gates, then the fleet rollup
-# byte-identity sweep. Run from anywhere; mirrors what
+# byte-identity sweep, the dbops gate and the E8 overhead gates. Run
+# from anywhere; mirrors what
 # .github/workflows/ci.yml executes.
 set -euo pipefail
 
@@ -47,5 +48,8 @@ python -m pytest benchmarks/bench_fleet.py --benchmark-only -q
 
 echo "== dbops benchmark gate (publish latency, no-op rollout identity) =="
 python -m pytest benchmarks/bench_dbops.py --benchmark-only -q
+
+echo "== overhead benchmark gate (hook-chain ratio < 10x, launch < 10 ms) =="
+python -m pytest benchmarks/bench_overhead.py --benchmark-only -q -k gate
 
 echo "ci: all gates passed"
