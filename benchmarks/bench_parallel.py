@@ -22,10 +22,13 @@ handful of builds plus cheap in-place restores.
 
 Two speed gates pit the 2-worker pool against a serial reference on the
 light factory: the fresh-factory serial path, and the stricter templated
-serial path. Each gate discards one warm-up run per
-side, then takes the median wall time of alternated runs, and lands
-under the ``"gates"`` key with the core count it ran on. Both need at
-least 2 cores: on one core the workers time-slice it.
+serial path. Each gate discards one warm-up run per side, then times
+:data:`GATE_PAIRS` back-to-back serial/pooled pairs (alternating which
+side goes first) and takes the median of the per-pair speedups: pairing
+neighbouring runs cancels slow drift in host load, and the median drops
+the pairs a burst of foreign load landed on. The result lands under the
+``"gates"`` key with the core count it ran on. Both need at least 2
+cores: on one core the workers time-slice it.
 
 Run: ``pytest benchmarks/bench_parallel.py --benchmark-only -s``
 """
@@ -49,8 +52,9 @@ BENCH_SPEC = FamilySpec("Bench", (("spawn_idp", 12), ("term_vm", 8),
                                   ("sleep_sbx", 6), ("fail_peb", 4),
                                   ("selfdel", 2)))
 POOL_WORKER_COUNTS = (2, 4)
-#: Alternated timed runs per side of a speed gate, after one warm-up each.
-GATE_RUNS = 5
+#: Timed serial/pooled pairs per speed gate, after one warm-up each. Five
+#: runs per side read 0.62-1.56x on identical code on a shared 2-core box.
+GATE_PAIRS = 21
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_parallel.json"
 
@@ -170,11 +174,13 @@ def test_bench_parallel_scaling(benchmark):
 
 
 def _speed_gate(benchmark, name, reference_kwargs, pooled_kwargs):
-    """Median wall times of alternated serial/pooled runs; records the gate.
+    """Median per-pair speedup of alternated serial/pooled runs; records
+    the gate.
 
-    One untimed warm-up per side, then :data:`GATE_RUNS` timed runs each,
-    alternating which side goes first. Returns the first serial and
-    pooled results for the caller's parity checks, plus the speedup.
+    One untimed warm-up per side, then :data:`GATE_PAIRS` pairs, each a
+    serial and a pooled run back to back, alternating which side goes
+    first. Returns the first serial and pooled results for the caller's
+    parity checks, plus the median of the pairs' serial/pooled ratios.
     """
     samples = build_malgene_corpus([BENCH_SPEC])
 
@@ -187,32 +193,39 @@ def _speed_gate(benchmark, name, reference_kwargs, pooled_kwargs):
     def alternated():
         run(reference_kwargs)  # warm-up, untimed
         run(pooled_kwargs)
-        walls = {"serial": [], "pooled": []}
+        pairs = []
         results = {}
-        for index in range(GATE_RUNS):
+        for index in range(GATE_PAIRS):
             order = ("serial", "pooled") if index % 2 == 0 else \
                 ("pooled", "serial")
+            walls = {}
             for side in order:
                 result = run(reference_kwargs if side == "serial"
                              else pooled_kwargs)
-                walls[side].append(result.wall_time_s)
+                walls[side] = result.wall_time_s
                 results.setdefault(side, result)
-        return walls, results
+            pairs.append((walls["serial"], walls["pooled"]))
+        return pairs, results
 
-    walls, results = benchmark.pedantic(alternated, rounds=1, iterations=1)
-    serial_s = statistics.median(walls["serial"])
-    pooled_s = statistics.median(walls["pooled"])
-    speedup = round(serial_s / pooled_s, 3)
+    pairs, results = benchmark.pedantic(alternated, rounds=1, iterations=1)
+    ratios = [serial / pooled for serial, pooled in pairs]
+    quartiles = statistics.quantiles(ratios, n=4)
+    speedup = round(statistics.median(ratios), 3)
+    serial_s = statistics.median(serial for serial, _ in pairs)
+    pooled_s = statistics.median(pooled for _, pooled in pairs)
     gates = _recorded().get("gates", {})
     gates[name] = {
         "corpus_size": len(samples), "machine_factory": "bare-metal-light",
-        "cpu_cores": os.cpu_count(), "runs_per_side": GATE_RUNS,
+        "cpu_cores": os.cpu_count(), "pairs": GATE_PAIRS,
         "serial": reference_kwargs, "pooled": pooled_kwargs,
         "serial_median_s": round(serial_s, 4),
-        "pooled_median_s": round(pooled_s, 4), "speedup": speedup}
+        "pooled_median_s": round(pooled_s, 4), "speedup": speedup,
+        "speedup_quartiles": [round(quartiles[0], 3),
+                              round(quartiles[2], 3)]}
     _write({"gates": gates})
-    print(f"\n{name}: serial {serial_s:.4f}s, pooled {pooled_s:.4f}s "
-          f"({speedup}x, {os.cpu_count()} cores)")
+    print(f"\n{name}: serial {serial_s:.4f}s, pooled {pooled_s:.4f}s, "
+          f"median pair speedup {speedup}x (quartiles "
+          f"{quartiles[0]:.3f}-{quartiles[2]:.3f}, {os.cpu_count()} cores)")
     return results["serial"], results["pooled"], speedup
 
 

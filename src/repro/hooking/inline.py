@@ -9,15 +9,22 @@ Handlers receive ``(call, *args, **kwargs)`` where ``call`` is a
 :class:`HookCall` giving access to the calling context and an
 ``original(*args, **kwargs)`` trampoline invoking the unhooked
 implementation. Returning from the handler returns to the caller.
+
+A DLL that hooks the same exports in every process it is injected into
+builds a :class:`HookLayout` once (:func:`hook_layout`) and hands it to
+:meth:`HookManager.attach`, which copies it into a fresh process instead
+of patching export by export.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional
+import functools
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry.metrics import TELEMETRY
-from .prologue import CodeImage, PATCH_LEN
+from .prologue import (CodeImage, PATCH_LEN, STANDARD_PROLOGUE,
+                       decode_jmp_target)
 
 HookHandler = Callable[..., Any]
 
@@ -55,6 +62,70 @@ class InlineHook:
     owner: str = ""
 
 
+class HookIntegrityError(ValueError):
+    """A :class:`HookLayout` whose bytes do not say what its hooks say."""
+
+
+@dataclasses.dataclass(frozen=True)
+class HookLayout:
+    """What installing ``exports`` in order leaves in a pristine manager.
+
+    It depends on the ordered export tuple only — never on the handlers —
+    so one layout serves every process and every DLL instance.
+    Construction checks its integrity: every patched prologue must decode
+    (``JMP rel32`` from the export's address) to that export's hook
+    address, and every saved prologue must be the unhooked
+    :data:`~repro.hooking.prologue.STANDARD_PROLOGUE`.
+    """
+
+    exports: Tuple[str, ...]
+    keys: Tuple[str, ...]                  # lower-cased, install order
+    code: Tuple[Tuple[str, int, bytes], ...]  # CodeImage.entries()
+    saved: Tuple[bytes, ...]               # per key
+    hook_addresses: Tuple[int, ...]        # per key
+    next_hook_address: int
+
+    def __post_init__(self) -> None:
+        targets = dict(zip(self.keys, self.hook_addresses))
+        for key, address, code in self.code:
+            if decode_jmp_target(code, address) != targets.pop(key, None):
+                raise HookIntegrityError(
+                    f"{key}: patched prologue {code.hex()} does not jump "
+                    f"to its hook address")
+        if targets:
+            raise HookIntegrityError(
+                f"hooks without patched prologues: {sorted(targets)}")
+        for key, saved in zip(self.keys, self.saved):
+            if saved != STANDARD_PROLOGUE[:PATCH_LEN]:
+                raise HookIntegrityError(
+                    f"{key}: saved prologue {saved.hex()} is not the "
+                    "standard prologue")
+
+
+def _unbound_handler(call: HookCall, *args: Any, **kwargs: Any) -> Any:
+    return call.original(*args, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def hook_layout(exports: Tuple[str, ...]) -> HookLayout:
+    """The (cached) layout for hooking ``exports`` in this order.
+
+    Built by really installing every export into a scratch manager, so it
+    holds exactly the bytes and addresses :meth:`HookManager.install`
+    would produce.
+    """
+    manager = HookManager()
+    for export in exports:
+        manager.install(export, _unbound_handler)
+    hooks = manager.hooks()
+    return HookLayout(
+        exports=exports, keys=tuple(manager._hooks),
+        code=manager.code.entries(),
+        saved=tuple(hook.saved_prologue for hook in hooks),
+        hook_addresses=tuple(hook.hook_address for hook in hooks),
+        next_hook_address=manager._next_hook_address)
+
+
 class HookManager:
     """All inline hooks installed inside one process."""
 
@@ -83,6 +154,30 @@ class HookManager:
         hook = InlineHook(export, handler, saved, hook_address, owner=owner)
         self._hooks[key] = hook
         return hook
+
+    def attach(self, layout: HookLayout, handlers: Sequence[HookHandler],
+               owner: str = "") -> bool:
+        """Install ``layout`` with one copy; ``handlers`` in layout order.
+
+        Same end state as ``install(export, handler, owner)`` per export,
+        but only for a *pristine* manager — no hooks, and no export read
+        yet (the code image hands out addresses on first touch). Returns
+        ``False`` and changes nothing otherwise; the caller then installs
+        export by export.
+        """
+        if self._hooks or len(self.code):
+            return False
+        if len(handlers) != len(layout.keys):
+            raise ValueError(f"{len(handlers)} handlers for "
+                             f"{len(layout.keys)} layout exports")
+        self.code.load(layout.code)
+        self._hooks = {
+            key: InlineHook(export, handler, saved, address, owner=owner)
+            for key, export, handler, saved, address in zip(
+                layout.keys, layout.exports, handlers, layout.saved,
+                layout.hook_addresses)}
+        self._next_hook_address = layout.next_hook_address
+        return True
 
     def remove(self, export: str) -> bool:
         hook = self._hooks.pop(export.lower(), None)

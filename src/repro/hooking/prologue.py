@@ -10,7 +10,7 @@ arithmetic the paper shows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: The Microsoft hotpatch prologue: ``mov edi,edi; push ebp; mov ebp,esp;
 #: sub esp, 0x10`` — what an *unhooked* export starts with.
@@ -96,3 +96,19 @@ class CodeImage:
 
     def patched_exports(self) -> List[str]:
         return [name for name in self._bytes if self.is_patched(name)]
+
+    def __len__(self) -> int:
+        """How many exports have been touched (read, written or addressed)."""
+        return len(self._addresses)
+
+    def entries(self) -> Tuple[Tuple[str, int, bytes], ...]:
+        """``(key, address, prologue)`` for every touched export, in
+        first-touch (= address) order."""
+        return tuple((key, self._addresses[key], bytes(code))
+                     for key, code in self._bytes.items())
+
+    def load(self, entries: Iterable[Tuple[str, int, bytes]]) -> None:
+        """Fill an untouched image from :meth:`entries` of another one."""
+        for key, address, code in entries:
+            self._bytes[key] = bytearray(code)
+            self._addresses[key] = address
